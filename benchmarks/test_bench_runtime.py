@@ -24,7 +24,13 @@ import pytest
 
 from repro.experiments import ParameterGrid, ResultTable, run_sweep
 from repro.experiments.dynamics_sweep import dynamics_point_replication
-from repro.runtime import ParallelExecutor, ResultStore, SerialExecutor, Task
+from repro.runtime import (
+    ExecutionOptions,
+    ParallelExecutor,
+    ResultStore,
+    SerialExecutor,
+    Task,
+)
 
 QUALITIES = (0.8, 0.5, 0.5, 0.5, 0.5)
 POPULATION = 20_000
@@ -48,8 +54,7 @@ def _run(executor=None, store=None):
         replications=REPLICATES,
         seed=0,
         base_parameters=BASE_PARAMETERS,
-        executor=executor,
-        store=store,
+        options=ExecutionOptions(executor=executor, store=store),
     )
     seconds = time.perf_counter() - start
     assert len(results) == len(GRID)
@@ -159,12 +164,12 @@ def _synthetic_metrics(index: int):
 
 @pytest.mark.benchmark(group="throughput")
 def test_store_bound_replay_at_scale(save_results, tmp_path):
-    """Tiered-store replay over 1e5 cached entries: populate, hot get, cold get.
+    """Store replay over 1e5 cached entries: populate, hot get, cold get.
 
-    Measures the store alone (no simulation): bulk ``put_many`` through the
-    columnar spill path, warm ``get_many`` replay served by the in-memory
-    hot tier, and — after a reopen, so the hot tier starts empty — cold
-    replay decoded from the ``.npz`` segments.  Asserts zero misses on both
+    Measures the store alone (no simulation): bulk ``put_many`` into the
+    sqlite table, warm ``get_many`` replay served by the in-memory LRU, and
+    — after a WAL checkpoint and a reopen, so the LRU starts empty — cold
+    replay decoded from sqlite's inline JSON.  Asserts zero misses on both
     replay paths and a bit-identical cold round trip; throughput is recorded
     but not floored (hot-path regressions show up in the saved table).
     """
@@ -172,7 +177,7 @@ def test_store_bound_replay_at_scale(save_results, tmp_path):
     tasks = [_synthetic_task(index) for index in range(STORE_ENTRIES)]
     expected = {index: _synthetic_metrics(index) for index in range(0, STORE_ENTRIES, 9973)}
 
-    store = ResultStore(path, compaction_interval=None)
+    store = ResultStore(path)
     start = time.perf_counter()
     for begin in range(0, STORE_ENTRIES, STORE_BATCH):
         batch = tasks[begin : begin + STORE_BATCH]
@@ -180,7 +185,7 @@ def test_store_bound_replay_at_scale(save_results, tmp_path):
             [(task, _synthetic_metrics(task.ordinal)) for task in batch]
         )
     populate_seconds = time.perf_counter() - start
-    assert store.counters().spills == STORE_ENTRIES
+    assert len(store) == STORE_ENTRIES
     keys = [store.key_for(task) for task in tasks]
 
     # Hot replay: everything admitted on put is still resident (the default
@@ -192,11 +197,11 @@ def test_store_bound_replay_at_scale(save_results, tmp_path):
     assert len(hot) == STORE_ENTRIES
     assert counters.misses == 0, "hot replay missed cached entries"
     assert counters.hot_hits == STORE_ENTRIES
-    store.compact(force=True)
+    store.compact()
     store.close()
 
     # Cold replay: a fresh process' first pass over the same store.
-    store = ResultStore(path, compaction_interval=None)
+    store = ResultStore(path)
     assert store.hot_entries == 0
     start = time.perf_counter()
     cold = store.get_many(keys)

@@ -181,8 +181,8 @@ def _add_runtime_arguments(subparser: argparse.ArgumentParser) -> None:
         type=float,
         default=64.0,
         help=(
-            "in-memory hot-tier budget of the result store in MiB (default "
-            "64); entries beyond it are served from the columnar cold tier"
+            "in-memory LRU budget of the result store in MiB (default 64); "
+            "entries beyond it are read back from the sqlite file"
         ),
     )
     _add_trace_argument(runtime)
@@ -274,9 +274,7 @@ def _print_store_stats(store: Optional[ResultStore]) -> None:
         )
         print(
             f"tiers: {counters.hot_hits} hot hits, {counters.cold_hits} cold "
-            f"hits, {counters.spills} spills, {counters.evictions} evictions, "
-            f"{counters.compactions} compactions, "
-            f"{store.segment_count()} segments"
+            f"hits, {counters.evictions} evictions"
         )
         store.close()
 
@@ -559,9 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=64.0,
         help=(
-            "in-memory hot-tier budget for the shared store, in MiB "
-            "(default 64); entries beyond it are served from the columnar "
-            "cold tier"
+            "in-memory LRU budget of the shared store in MiB (default 64); "
+            "entries beyond it are read back from the sqlite file"
         ),
     )
     serve.add_argument(
@@ -664,7 +661,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--store-hot-mb",
         type=float,
         default=64.0,
-        help="in-memory hot-tier budget of the result store in MiB (default 64)",
+        help=(
+            "in-memory LRU budget of the result store in MiB (default 64); "
+            "entries beyond it are read back from the sqlite file"
+        ),
     )
     campaign.add_argument(
         "--output",

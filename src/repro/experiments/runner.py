@@ -148,8 +148,6 @@ def run_replications(
     replication: ReplicationFunction,
     *,
     options: Any = None,
-    executor: Any = None,
-    store: Any = None,
 ) -> ReplicatedResult:
     """Run ``config.replications`` independent replications of an experiment.
 
@@ -170,21 +168,12 @@ def run_replications(
     one indivisible task — and its
     :class:`~repro.runtime.store.ResultStore` serves cache hits and records
     results for resume.  The runtime derives identical seeds, so results are
-    bit-identical to the default in-process path.  The legacy ``executor=``/
-    ``store=`` keyword arguments still work but emit
-    ``DeprecationWarning`` and run the exact same code path.
+    bit-identical to the default in-process path.
     """
     if getattr(replication, "grid_replications", False):
         raise TypeError(
             "grid-batched replications run over a whole ParameterGrid; call "
             "run_sweep instead of run_replications"
-        )
-    if options is not None or executor is not None or store is not None:
-        # Imported lazily: repro.runtime depends on this module.
-        from repro.runtime.options import resolve_options
-
-        options = resolve_options(
-            options, executor=executor, store=store, owner="run_replications"
         )
     if options is not None and options.engine_options:
         config = ExperimentConfig(

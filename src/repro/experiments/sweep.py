@@ -95,8 +95,6 @@ def run_sweep(
     seed: int = 0,
     base_parameters: Mapping[str, Any] | None = None,
     options: Any = None,
-    executor: Any = None,
-    store: Any = None,
 ) -> tuple[List[ReplicatedResult], ResultTable]:
     """Run ``replication`` over every point of ``grid``.
 
@@ -130,17 +128,8 @@ def run_sweep(
     caveat: grid-batched functions run one *point* per task (the per-point
     batched convention) rather than as a single fused ``G x R`` launch, so
     their sampled trajectories differ from the in-process grid path while
-    remaining statistically equivalent and internally reproducible.  The
-    legacy ``executor=``/``store=`` keyword arguments still work but emit
-    ``DeprecationWarning`` and run the exact same code path.
+    remaining statistically equivalent and internally reproducible.
     """
-    if options is not None or executor is not None or store is not None:
-        # Imported lazily: repro.runtime depends on this module's siblings.
-        from repro.runtime.options import resolve_options
-
-        options = resolve_options(
-            options, executor=executor, store=store, owner="run_sweep"
-        )
     if options is not None and options.engine_options:
         base_parameters = options.merged_parameters(base_parameters)
     configs = sweep_configs(

@@ -9,18 +9,16 @@ shardable, cacheable, resumable jobs:
 * :mod:`repro.runtime.executors` — :class:`SerialExecutor` (default,
   in-process) and :class:`ParallelExecutor` (``ProcessPoolExecutor``-backed,
   chunked dispatch, worker-side engine construction) behind one interface;
-* :mod:`repro.runtime.store` — :class:`ResultStore`: a tiered
-  content-addressed cache keyed on ``(function, parameters, seeds, code
-  version)`` — an in-memory LRU hot tier over columnar ``.npz`` cold
-  segments, with sqlite as the key → location index and a background
-  compaction thread merging spill segments;
+* :mod:`repro.runtime.store` — :class:`ResultStore`: a content-addressed
+  cache keyed on ``(function, parameters, seeds, code version)`` — a
+  sqlite key → JSON table behind a bounded in-memory LRU;
 * :mod:`repro.runtime.driver` — :func:`run_plan`: cache lookup, shard
   dispatch, per-shard flush and ordered merge.
 
-Entry points: ``run_replications(..., executor=, store=)``,
-``run_sweep(..., executor=, store=)`` and the ``repro sweep/network/protocol
---workers K --store PATH`` CLI flags.  See the README's "Scaling out"
-section for the executor/caching/resume guide.
+Entry points: ``run_replications(..., options=)`` and
+``run_sweep(..., options=)`` (both taking an :class:`ExecutionOptions`) and
+the ``repro sweep/network/protocol --workers K --store PATH`` CLI flags.  See
+the README's "Scaling out" section for the executor/caching/resume guide.
 """
 
 from repro.runtime.backend import Backend, check_resolvable
@@ -30,7 +28,7 @@ from repro.runtime.executors import (
     SerialExecutor,
     resolve_replication,
 )
-from repro.runtime.options import ExecutionOptions, resolve_options
+from repro.runtime.options import ExecutionOptions
 from repro.runtime.shard import (
     ShardPlan,
     Task,
@@ -63,7 +61,6 @@ __all__ = [
     "function_reference",
     "partition_tasks",
     "replication_mode",
-    "resolve_options",
     "resolve_replication",
     "run_plan",
     "task_key",

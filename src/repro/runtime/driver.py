@@ -20,8 +20,10 @@ keyed by the plan's content (the hash of its task keys) and records one
 ``shard`` span per completed shard — worker-measured wall/CPU time, row
 count and rows/s — plus a ``cache_lookup`` event attributing hits vs
 misses.  All span ids derive from task content addresses, so the same plan
-traces identically on every backend; with the default null tracer the
-traced path is never entered at all.
+traces identically on every backend.  Untraced runs take the same path
+through the null tracer, whose spans and events are no-ops; the
+``repro_plan_cache_hits_total``/``repro_plan_cache_misses_total`` counters
+count every run with a store either way.
 """
 
 from __future__ import annotations
@@ -58,31 +60,41 @@ def run_plan(
     """
     executor = executor if executor is not None else SerialExecutor()
     tracer = resolve_tracer(tracer)
-    if getattr(tracer, "enabled", False):
-        return _run_plan_traced(plan, replication, executor, store, tracer)
-
-    completed: Dict[int, List[Dict[str, float]]] = {}
-    pending = list(plan.tasks)
+    traced = getattr(tracer, "enabled", False)
+    # Keys address the store and name the spans; with neither, skip hashing.
+    keys: List[str] = []
     if store is not None:
-        # One bulk index lookup instead of a query per task: at 10^5 cached
-        # points the per-call overhead dominates a warm replay otherwise.
         keys = [store.key_for(task) for task in plan.tasks]
-        cached = store.get_many(keys)
-        pending = []
-        for task, key in zip(plan.tasks, keys):
-            metrics = cached.get(key)
-            if metrics is None:
-                pending.append(task)
-            else:
-                completed[task.ordinal] = metrics
-
-    shards = partition_tasks(pending, executor.num_shards)
-    for shard_results in executor.run_shards(shards, replication):
+    elif traced:
+        keys = [task_key(task) for task in plan.tasks]
+    completed: Dict[int, List[Dict[str, float]]] = {}
+    with tracer.span(
+        "run_plan",
+        _content_key(keys) if traced else "",
+        attributes={"tasks": len(plan.tasks), "points": plan.num_points},
+    ) as span:
+        pending: List[Task] = list(plan.tasks)
         if store is not None:
-            store.put_many(shard_results)
-        for task, metrics in shard_results:
-            completed[task.ordinal] = metrics
+            # One bulk lookup instead of a query per task: at 10^5 cached
+            # points the per-call overhead dominates a warm replay otherwise.
+            cached = store.get_many(keys)
+            pending = []
+            for task, key in zip(plan.tasks, keys):
+                metrics = cached.get(key)
+                if metrics is None:
+                    pending.append(task)
+                else:
+                    completed[task.ordinal] = metrics
+            _record_cache_lookup(tracer, span, len(plan.tasks), len(pending))
 
+        shards = partition_tasks(pending, executor.num_shards)
+        for shard_results in executor.run_shards(shards, replication):
+            if store is not None:
+                store.put_many(shard_results)
+            for task, metrics in shard_results:
+                completed[task.ordinal] = metrics
+            if traced:
+                _record_shard(tracer, executor, shard_results, keys)
     return _merge(plan, completed)
 
 
@@ -98,78 +110,39 @@ def _content_key(task_keys: Sequence[str]) -> str:
     return hashlib.sha256("\n".join(task_keys).encode("utf-8")).hexdigest()
 
 
-def _run_plan_traced(
-    plan: ShardPlan, replication, executor, store, tracer
-) -> PointMetrics:
-    """The traced twin of :func:`run_plan` — same work, spans recorded.
-
-    Kept separate so the untraced hot path pays nothing: no key hashing, no
-    attribute dicts, no getattr per shard.
-    """
+def _record_cache_lookup(tracer, span, tasks: int, misses: int) -> None:
+    """Count a plan's store hits and misses, traced or not."""
     registry = get_registry()
-    cache_hits = registry.counter(
+    hits = tasks - misses
+    registry.counter(
         "repro_plan_cache_hits_total", "Plan tasks served from the result store."
-    )
-    cache_misses = registry.counter(
+    ).inc(hits)
+    registry.counter(
         "repro_plan_cache_misses_total", "Plan tasks that had to execute."
-    )
-    completed: Dict[int, List[Dict[str, float]]] = {}
-    keys = [
-        store.key_for(task) if store is not None else task_key(task)
-        for task in plan.tasks
-    ]
-    key_by_ordinal = {
-        task.ordinal: key for task, key in zip(plan.tasks, keys)
-    }
-    with tracer.span(
-        "run_plan",
-        _content_key(keys),
-        attributes={"tasks": len(plan.tasks), "points": plan.num_points},
-    ) as span:
-        pending: List[Task] = list(plan.tasks)
-        if store is not None:
-            cached = store.get_many(keys)
-            pending = []
-            for task, key in zip(plan.tasks, keys):
-                metrics = cached.get(key)
-                if metrics is None:
-                    pending.append(task)
-                else:
-                    completed[task.ordinal] = metrics
-            hits = len(plan.tasks) - len(pending)
-            cache_hits.inc(hits)
-            cache_misses.inc(len(pending))
-            span.set_attribute("cache_hits", hits)
-            span.set_attribute("cache_misses", len(pending))
-            tracer.event(
-                "cache_lookup",
-                {"hits": hits, "misses": len(pending), "tasks": len(plan.tasks)},
-            )
+    ).inc(misses)
+    span.set_attribute("cache_hits", hits)
+    span.set_attribute("cache_misses", misses)
+    tracer.event("cache_lookup", {"hits": hits, "misses": misses, "tasks": tasks})
 
-        shards = partition_tasks(pending, executor.num_shards)
-        for shard_results in executor.run_shards(shards, replication):
-            if store is not None:
-                store.put_many(shard_results)
-            rows = 0
-            for task, metrics in shard_results:
-                completed[task.ordinal] = metrics
-                rows += len(metrics)
-            timing = getattr(executor, "last_shard_timing", None) or {}
-            wall = float(timing.get("wall_s", 0.0))
-            attributes = {"tasks": len(shard_results), "rows": rows}
-            if wall > 0.0:
-                attributes["rows_per_s"] = rows / wall
-            # Shard spans are recorded retroactively — executors yield
-            # completed shards in arbitrary order — under a key derived
-            # from the shard's task keys, so ids are completion-order- and
-            # backend-independent.
-            tracer.record_span(
-                "shard",
-                _content_key(
-                    [key_by_ordinal[task.ordinal] for task, _ in shard_results]
-                ),
-                wall_s=wall,
-                cpu_s=float(timing.get("cpu_s", 0.0)),
-                attributes=attributes,
-            )
-    return _merge(plan, completed)
+
+def _record_shard(tracer, executor, shard_results, keys: Sequence[str]) -> None:
+    """Record one completed shard's span: worker wall/CPU time, rows, rows/s.
+
+    ``keys`` are the plan's task keys, indexed by task ordinal.
+    """
+    rows = sum(len(metrics) for _, metrics in shard_results)
+    timing = getattr(executor, "last_shard_timing", None) or {}
+    wall = float(timing.get("wall_s", 0.0))
+    attributes = {"tasks": len(shard_results), "rows": rows}
+    if wall > 0.0:
+        attributes["rows_per_s"] = rows / wall
+    # Shard spans are recorded retroactively — executors yield completed
+    # shards in arbitrary order — under a key derived from the shard's task
+    # keys, so ids are completion-order- and backend-independent.
+    tracer.record_span(
+        "shard",
+        _content_key([keys[task.ordinal] for task, _ in shard_results]),
+        wall_s=wall,
+        cpu_s=float(timing.get("cpu_s", 0.0)),
+        attributes=attributes,
+    )

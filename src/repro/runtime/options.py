@@ -1,12 +1,9 @@
 """One frozen options object for everything that configures *how* a run executes.
 
-Before this module the execution knobs travelled as a sprawl of keyword
-arguments — ``run_sweep(..., executor=..., store=...)``,
-``run_replications(..., executor=..., store=...)``,
-``execute_request(..., executor=..., store=...)`` — with each front end
-re-deriving executors from worker counts on its own.  :class:`ExecutionOptions`
-collapses them into one value the CLI, the service daemon and the campaign
-scheduler all build once and thread through every layer:
+:class:`ExecutionOptions` is the one value the CLI, the service daemon and
+the campaign scheduler build and thread through every layer
+(``run_sweep(..., options=...)``, ``run_replications(..., options=...)``,
+``execute_request(..., options=...)``):
 
 ``executor``
     A ready-made execution backend (anything satisfying
@@ -27,15 +24,10 @@ scheduler all build once and thread through every layer:
     routes through the runtime path and every shard/node records a span;
     trace ids derive from content addresses, so enabling tracing never
     perturbs results.
-
-The legacy keyword arguments keep working but emit ``DeprecationWarning``;
-:func:`resolve_options` is the single place that folds them in, so every
-entry point deprecates identically and both spellings are bit-identical.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict, Mapping, Optional
@@ -94,35 +86,3 @@ class ExecutionOptions:
         merged = dict(parameters or {})
         merged.update(self.engine_options)
         return merged
-
-
-def resolve_options(
-    options: Optional[ExecutionOptions],
-    *,
-    executor: Any = None,
-    store: Any = None,
-    owner: str = "this function",
-) -> Optional[ExecutionOptions]:
-    """Fold legacy ``executor=``/``store=`` kwargs into an options object.
-
-    The one shared deprecation shim: when a caller still passes the
-    pre-:class:`ExecutionOptions` keyword arguments, warn once per call site
-    and build the equivalent options value, so old and new spellings run the
-    exact same code path (and therefore produce bit-identical results).
-    Mixing both spellings is an error — silently preferring one would make
-    the other a no-op.
-    """
-    if executor is None and store is None:
-        return options
-    if options is not None:
-        raise ValueError(
-            f"{owner} got both options= and the deprecated executor=/store= "
-            "keyword arguments; pass everything through options="
-        )
-    warnings.warn(
-        f"the executor=/store= keyword arguments of {owner} are deprecated; "
-        "pass options=ExecutionOptions(executor=..., store=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionOptions(executor=executor, store=store)

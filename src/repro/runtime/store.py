@@ -1,4 +1,4 @@
-"""Tiered, content-addressed result store: hot LRU tier + columnar cold tier.
+"""Content-addressed result store: sqlite key → JSON table plus a hot LRU.
 
 Every :class:`~repro.runtime.shard.Task` has a canonical **cache key** — the
 SHA-256 of the canonical JSON encoding of::
@@ -10,52 +10,39 @@ Two tasks share a key exactly when they would compute the same metrics:
 same replication function, same parameters (order-insensitive, tuples and
 numpy scalars normalised), same seed list, same code version.  Sweep names,
 shard layout and worker counts are deliberately *not* part of the key, so a
-result computed by any execution strategy serves every other one.  The key
-derivation is unchanged from the original single-file store — existing
-stores keep addressing the same entries bit-identically.
+result computed by any execution strategy serves every other one.
 
-The store itself is **tiered**, in the spirit of hot/cold KV-cache placement
-with LSM-style background compaction:
+Storage has two parts:
 
-hot tier
-    An in-memory LRU map of decoded metric rows with a configurable byte and
-    entry budget (``hot_budget_bytes``/``hot_budget_entries``).  Every
-    ``put`` and every cold read admits the entry here; over-budget entries
-    are evicted least-recently-used first, and an entry larger than the
-    whole budget is never admitted (it is served from the cold tier on every
-    read instead of thrashing the LRU).
-cold tier
-    The durable home of every entry.  Bulk payloads are written as **binary
-    columnar segments** — ``.npz`` files holding one float64 value matrix
-    plus presence masks per spilled batch, instead of per-row JSON blobs —
-    in a ``<path>.segments/`` directory next to the sqlite file.  Sqlite is
-    kept as the **key → location index**: a row either carries its metrics
-    inline as JSON (legacy rows from pre-tiered stores, ``:memory:`` stores,
-    and the fallback for non-float metric values, which columnar float64
-    storage could not round-trip bit-identically) or points at
-    ``(segment, entry)`` in a segment file.
-compaction
-    A background thread merges small spill segments into one large segment
-    once ``compact_threshold`` of them accumulate, and applies the optional
-    eviction policies (``max_age_seconds`` drops entries by age;
-    ``cold_budget_bytes`` drops least-recently-used segment entries once the
-    cold tier outgrows the budget — both default to ``None`` = never drop).
-    Readers are never blocked: segments are immutable, the index flips to
-    the merged segment in one transaction, and a reader that raced a
-    just-deleted file simply re-resolves the key through the index.
+sqlite table
+    The only durable tier.  One ``results`` row per key carries the task's
+    provenance and its metric rows inline as JSON.  Python's float repr
+    round-trips every non-NaN float64 (``-0.0``, subnormals, infinities)
+    bit-identically; NaN comes back as NaN, without its sign or payload
+    bits.  Ints, bools, ``None`` and strings keep their types.
+hot LRU
+    An in-memory map of decoded metric rows bounded by ``hot_budget_bytes``
+    (an estimate of their decoded size).  Every ``put`` and every sqlite
+    read admits the entry; over-budget entries are evicted least-recently
+    used first, and an entry larger than the whole budget is never admitted
+    (it is read from sqlite every time instead of thrashing the LRU).
+
+Stores written by earlier versions open unchanged.  A store whose rows point
+at ``.npz`` segment files in a ``<path>.segments/`` directory is migrated on
+open: every such row is decoded once into inline JSON and committed, and
+only then are the migrated segment files deleted.
 
 Writes happen only from the opening process — workers return results to the
 parent, which flushes each completed shard — but that process may be
 multi-threaded: the API daemon's worker threads read and write one shared
-store concurrently.  Index and hot-tier access is therefore serialised
-behind an internal lock (one connection, ``check_same_thread=False``),
-segment file I/O runs outside it, and file-backed stores run in WAL mode
-with a busy timeout so a second *process* pointing at the same file (a CLI
-run next to a daemon) blocks briefly instead of failing with ``database is
-locked``.  ``hits``/``misses`` count :meth:`get` outcomes as before;
-:meth:`counters` snapshots the full tier breakdown (hot hits, cold hits,
-spills, evictions, compactions) atomically so callers can attribute deltas
-to a span of work.
+store concurrently.  All access is therefore serialised behind an internal
+lock (one connection, ``check_same_thread=False``), and file-backed stores
+run in WAL mode with a busy timeout so a second *process* pointing at the
+same file (a CLI run next to a daemon) blocks briefly instead of failing
+with ``database is locked``.  ``hits``/``misses`` count :meth:`get`
+outcomes; :meth:`counters` snapshots them with the LRU breakdown (hot hits,
+cold hits, evictions) atomically so callers can attribute deltas to a span
+of work.
 """
 
 from __future__ import annotations
@@ -65,10 +52,8 @@ import json
 import math
 import sqlite3
 import threading
-import time
-import uuid
 from collections import OrderedDict
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import (
     Any,
@@ -94,21 +79,8 @@ _BUSY_TIMEOUT_SECONDS = 30.0
 DEFAULT_HOT_BUDGET_BYTES = 64 * 2**20
 """Default in-memory hot-tier budget (64 MiB of estimated decoded rows)."""
 
-DEFAULT_COMPACT_THRESHOLD = 8
-"""Spill segments that accumulate before the background thread merges them."""
-
-DEFAULT_COMPACTION_INTERVAL = 30.0
-"""Fallback wake interval of the compaction thread (it is also event-woken)."""
-
-_SEGMENT_DIR_SUFFIX = ".segments"
-_SEGMENT_CACHE_SIZE = 2
-_ORPHAN_GRACE_SECONDS = 60.0
 _SELECT_CHUNK = 500
 
-# ``segment``/``entry`` locate a row in a columnar cold segment; both are
-# NULL (and ``metrics`` carries inline JSON) for legacy and fallback rows.
-# Pre-tiered stores are migrated in place by ALTER TABLE on open — existing
-# rows keep their inline JSON, so no data is lost.
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS results (
     key TEXT PRIMARY KEY,
@@ -118,9 +90,7 @@ CREATE TABLE IF NOT EXISTS results (
     seeds TEXT NOT NULL,
     code_version TEXT NOT NULL,
     metrics TEXT NOT NULL,
-    created_at TEXT NOT NULL,
-    segment TEXT,
-    entry INTEGER
+    created_at TEXT NOT NULL
 )
 """
 
@@ -129,8 +99,8 @@ CREATE TABLE IF NOT EXISTS results (
 _INSERT = """
 INSERT OR REPLACE INTO results
     (key, function, name, parameters, seeds, code_version, metrics,
-     created_at, segment, entry)
-VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+     created_at)
+VALUES (?, ?, ?, ?, ?, ?, ?, ?)
 """
 
 
@@ -195,22 +165,19 @@ def task_key(task: Task, code_version: str = __version__) -> str:
 
 
 class StoreCounters(NamedTuple):
-    """Atomic snapshot of a store's tier counters.
+    """Atomic snapshot of a store's counters.
 
-    ``hits``/``misses`` keep their original meaning (every :meth:`ResultStore.get`
-    outcome); ``hits == hot_hits + cold_hits`` always.  ``spills`` counts
-    entries written to cold-tier segment files, ``evictions`` counts entries
-    dropped from the hot tier by the LRU budget, and ``compactions`` counts
-    completed segment merges.
+    ``hits``/``misses`` count every :meth:`ResultStore.get` outcome;
+    ``hits == hot_hits + cold_hits`` always, where a hot hit is served by
+    the in-memory LRU and a cold hit is read from sqlite.  ``evictions``
+    counts entries dropped from the LRU by its byte budget.
     """
 
     hits: int
     misses: int
     hot_hits: int
     cold_hits: int
-    spills: int
     evictions: int
-    compactions: int
 
     def as_dict(self) -> Dict[str, int]:
         """Plain-dict view (the daemon's ``/stats`` payload)."""
@@ -230,81 +197,34 @@ def _estimate_entry_bytes(metrics: Sequence[Dict[str, Any]]) -> int:
     return total
 
 
-def _columnar_eligible(metrics: Sequence[Any]) -> bool:
-    """Whether ``metrics`` round-trips bit-identically through float64 columns.
+def _decode_segment_entry(arrays: Dict[str, np.ndarray], entry: int) -> Metrics:
+    """One entry's metric rows from an earlier version's ``.npz`` segment.
 
-    Only rows whose values are genuine Python floats qualify; ints, bools,
-    strings or None would come back as float64 (or not at all), so such
-    entries fall back to inline JSON in the index.
+    A segment holds ``offsets`` (row range per entry), column ``names`` and
+    a float64 ``values`` matrix with a ``present`` mask; only all-float rows
+    were ever written there, so the rebuilt rows are bit-identical.
     """
-    if not isinstance(metrics, (list, tuple)):
-        return False
-    for row in metrics:
-        if not isinstance(row, dict):
-            return False
-        for name, value in row.items():
-            if not isinstance(name, str) or type(value) is not float:
-                return False
-    return True
-
-
-def _encode_segment(
-    entries: Sequence[Tuple[str, Metrics]],
-) -> Dict[str, np.ndarray]:
-    """Columnar arrays for one segment: keys, row offsets, value/mask matrices."""
-    keys = np.array([key for key, _ in entries])
-    offsets = np.zeros(len(entries) + 1, dtype=np.int64)
-    names: List[str] = []
-    positions: Dict[str, int] = {}
-    rows: List[Dict[str, float]] = []
-    for index, (_, metrics) in enumerate(entries):
-        offsets[index + 1] = offsets[index] + len(metrics)
-        for row in metrics:
-            rows.append(row)
-            for name in row:
-                if name not in positions:
-                    positions[name] = len(names)
-                    names.append(name)
-    values = np.zeros((len(rows), len(names)), dtype=np.float64)
-    present = np.zeros((len(rows), len(names)), dtype=bool)
-    for row_index, row in enumerate(rows):
-        for name, value in row.items():
-            column = positions[name]
-            values[row_index, column] = value
-            present[row_index, column] = True
-    return {
-        "keys": keys,
-        "offsets": offsets,
-        "names": np.array(names) if names else np.array([], dtype="<U1"),
-        "values": values,
-        "present": present,
-    }
-
-
-def _decode_entry(arrays: Dict[str, np.ndarray], entry: int) -> Metrics:
-    """Rebuild one entry's metric rows from a loaded segment (bit-identical)."""
     offsets = arrays["offsets"]
     names = [str(name) for name in arrays["names"]]
     values = arrays["values"]
     present = arrays["present"]
     metrics: Metrics = []
     for row_index in range(int(offsets[entry]), int(offsets[entry + 1])):
-        row: Dict[str, float] = {}
-        for column, name in enumerate(names):
-            if present[row_index, column]:
-                row[name] = float(values[row_index, column])
-        metrics.append(row)
+        metrics.append(
+            {
+                name: float(values[row_index, column])
+                for column, name in enumerate(names)
+                if present[row_index, column]
+            }
+        )
     return metrics
 
 
 class _HotTier:
     """In-memory LRU of decoded entries; the caller holds the store lock."""
 
-    def __init__(
-        self, budget_bytes: int, budget_entries: Optional[int] = None
-    ) -> None:
+    def __init__(self, budget_bytes: int) -> None:
         self.budget_bytes = budget_bytes
-        self.budget_entries = budget_entries
         self.bytes = 0
         self._entries: "OrderedDict[str, Tuple[Tuple[Dict[str, Any], ...], int]]" = (
             OrderedDict()
@@ -329,21 +249,17 @@ class _HotTier:
         An entry larger than the whole byte budget is not admitted at all —
         caching it would evict everything else for a single resident.
         """
+        self.discard(key)
         size = _estimate_entry_bytes(metrics)
         if size > self.budget_bytes:
-            self.discard(key)
             return 0
-        self.discard(key)
         self._entries[key] = (tuple(dict(row) for row in metrics), size)
         self.bytes += size
         evicted = 0
-        while self.bytes > self.budget_bytes or (
-            self.budget_entries is not None and len(self._entries) > self.budget_entries
-        ):
-            victim, (_, victim_size) = self._entries.popitem(last=False)
+        while self.bytes > self.budget_bytes:
+            _, (_, victim_size) = self._entries.popitem(last=False)
             self.bytes -= victim_size
-            if victim != key:
-                evicted += 1
+            evicted += 1
         return evicted
 
     def discard(self, key: str) -> None:
@@ -353,41 +269,25 @@ class _HotTier:
 
 
 class ResultStore:
-    """A persistent, tiered, content-addressed cache of task metrics.
+    """A persistent, content-addressed cache of task metrics.
 
     Parameters
     ----------
     path:
-        Sqlite index file (created, with parents, if missing) or
-        ``":memory:"`` for an ephemeral store.  File-backed stores keep
-        their columnar cold segments in a sibling ``<path>.segments/``
-        directory; ``:memory:`` stores hold every entry inline (no files,
-        no compaction thread).
+        Sqlite file (created, with parents, if missing) or ``":memory:"``
+        for an ephemeral store.
     code_version:
         Version string mixed into every key (default: ``repro.__version__``),
         so upgrading the library naturally invalidates old entries.
-    hot_budget_bytes / hot_budget_entries:
-        Hot-tier LRU budget (estimated decoded bytes / entry count).
-    compact_threshold:
-        Spill segments that trigger a background merge.
-    compaction_interval:
-        Fallback wake interval of the compaction thread in seconds;
-        ``None`` or ``0`` disables the thread (call :meth:`compact`
-        explicitly — tests do).
-    cold_budget_bytes / max_age_seconds:
-        Optional cold-tier eviction policies applied during compaction:
-        drop least-recently-used segment entries once the cold tier exceeds
-        the byte budget, and drop any entry older than the age limit.  Both
-        default to ``None`` — by default the store never discards data.
+    hot_budget_bytes:
+        Budget of the in-memory LRU, in estimated decoded bytes.
 
-    Thread safety: index and hot-tier operations run behind one internal
-    lock (a single sqlite connection, ``check_same_thread=False``), so a
-    store instance may be shared freely between threads (the API daemon
-    shares one store across its whole worker pool); segment file I/O runs
-    outside the lock so compaction never blocks readers.  Sharing one *file*
-    between processes is safe for reads and writes — WAL mode plus a
-    30-second busy timeout — though counters are per-instance and only one
-    process should run compaction at a time.
+    Thread safety: every operation runs behind one internal lock (a single
+    sqlite connection, ``check_same_thread=False``), so a store instance may
+    be shared freely between threads (the API daemon shares one store
+    across its whole worker pool).  Sharing one *file* between processes is
+    safe for reads and writes — WAL mode plus a 30-second busy timeout —
+    though counters are per-instance.
     """
 
     def __init__(
@@ -396,19 +296,10 @@ class ResultStore:
         *,
         code_version: str = __version__,
         hot_budget_bytes: int = DEFAULT_HOT_BUDGET_BYTES,
-        hot_budget_entries: Optional[int] = None,
-        compact_threshold: int = DEFAULT_COMPACT_THRESHOLD,
-        compaction_interval: Optional[float] = DEFAULT_COMPACTION_INTERVAL,
-        cold_budget_bytes: Optional[int] = None,
-        max_age_seconds: Optional[float] = None,
     ) -> None:
         if hot_budget_bytes <= 0:
             raise ValueError(
                 f"hot_budget_bytes must be positive, got {hot_budget_bytes}"
-            )
-        if compact_threshold < 2:
-            raise ValueError(
-                f"compact_threshold must be at least 2, got {compact_threshold}"
             )
         self.path = path if path == ":memory:" else Path(path)
         self.code_version = code_version
@@ -416,28 +307,11 @@ class ResultStore:
         self.misses = 0
         self.hot_hits = 0
         self.cold_hits = 0
-        self.spills = 0
         self.evictions = 0
-        self.compactions = 0
-        self.compaction_error: Optional[BaseException] = None
-        self._hot = _HotTier(hot_budget_bytes, hot_budget_entries)
-        self._compact_threshold = compact_threshold
-        self._cold_budget_bytes = cold_budget_bytes
-        self._max_age_seconds = max_age_seconds
+        self._hot = _HotTier(hot_budget_bytes)
         self._lock = threading.RLock()
-        self._compact_lock = threading.Lock()
-        self._segment_cache: "OrderedDict[str, Dict[str, np.ndarray]]" = OrderedDict()
-        self._segment_cache_lock = threading.Lock()
-        self._inflight_segments: set = set()
-        self._access_clock = 0
-        self._last_access: Dict[str, int] = {}
         if isinstance(self.path, Path):
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.segments_dir: Optional[Path] = Path(
-                str(self.path) + _SEGMENT_DIR_SUFFIX
-            )
-        else:
-            self.segments_dir = None
         self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
             str(self.path),
             timeout=_BUSY_TIMEOUT_SECONDS,
@@ -452,34 +326,49 @@ class ResultStore:
             f"PRAGMA busy_timeout={int(_BUSY_TIMEOUT_SECONDS * 1000)}"
         )
         self._connection.execute(_SCHEMA)
-        self._migrate_legacy_schema()
         self._connection.commit()
-        self._closing = threading.Event()
-        self._compaction_wake = threading.Event()
-        self._compaction_thread: Optional[threading.Thread] = None
-        if self.segments_dir is not None and compaction_interval:
-            self._compaction_thread = threading.Thread(
-                target=self._compaction_loop,
-                args=(float(compaction_interval),),
-                name="repro-store-compaction",
-                daemon=True,
-            )
-            self._compaction_thread.start()
+        self._migrate_segments()
 
-    def _migrate_legacy_schema(self) -> None:
-        """Add the tier location columns to a pre-tiered store, in place.
+    def _migrate_segments(self) -> None:
+        """Inline the ``.npz`` segment rows of an earlier store layout.
 
-        Legacy rows keep their inline JSON metrics (``segment`` stays NULL),
-        so opening an old store loses nothing; new writes spill to segments
-        alongside them.
+        That layout added ``segment``/``entry`` columns to ``results``: a
+        row either carried inline JSON metrics (both NULL) or pointed at
+        entry ``entry`` of ``<path>.segments/<segment>``.  Every pointer row
+        is decoded once and rewritten as inline JSON, and the two columns
+        are dropped, in one transaction; the segment files are deleted only
+        after that commit, so a failure before it leaves the old store
+        intact.
         """
-        columns = {
-            row[1] for row in self._connection.execute("PRAGMA table_info(results)")
-        }
+        connection = self._connection
+        columns = {row[1] for row in connection.execute("PRAGMA table_info(results)")}
         if "segment" not in columns:
-            self._connection.execute("ALTER TABLE results ADD COLUMN segment TEXT")
-        if "entry" not in columns:
-            self._connection.execute("ALTER TABLE results ADD COLUMN entry INTEGER")
+            return
+        segments_dir = Path(str(self.path) + ".segments")
+        loaded: Dict[str, Dict[str, np.ndarray]] = {}
+        with connection:  # commits on success, rolls back on any error
+            connection.execute("BEGIN IMMEDIATE")
+            located = connection.execute(
+                "SELECT key, segment, entry FROM results WHERE segment IS NOT NULL"
+            ).fetchall()
+            updates = []
+            for key, segment, entry in located:
+                if segment not in loaded:
+                    with np.load(segments_dir / segment) as payload:
+                        loaded[segment] = {
+                            name: payload[name] for name in payload.files
+                        }
+                metrics = _decode_segment_entry(loaded[segment], int(entry))
+                updates.append((json.dumps(metrics), key))
+            connection.executemany(
+                "UPDATE results SET metrics = ? WHERE key = ?", updates
+            )
+            connection.execute("ALTER TABLE results DROP COLUMN segment")
+            connection.execute("ALTER TABLE results DROP COLUMN entry")
+        for segment in loaded:
+            (segments_dir / segment).unlink()
+        if segments_dir.is_dir() and not any(segments_dir.iterdir()):
+            segments_dir.rmdir()
 
     def _require_connection(self) -> sqlite3.Connection:
         if self._connection is None:
@@ -492,173 +381,72 @@ class ResultStore:
 
     # -- read path -----------------------------------------------------------
 
-    def _touch(self, key: str) -> None:
-        # LRU recency for the cold-eviction policy; only tracked when the
-        # policy is configured (the dict would otherwise grow unbounded).
-        if self._cold_budget_bytes is not None:
-            self._access_clock += 1
-            self._last_access[key] = self._access_clock
+    def _read_cold(self, key: str, metrics_json: str) -> Metrics:
+        # Caller holds the lock.
+        metrics = json.loads(metrics_json)
+        self.evictions += self._hot.admit(key, metrics)
+        self.hits += 1
+        self.cold_hits += 1
+        return metrics
 
-    def _copy(self, rows: Sequence[Dict[str, Any]]) -> Metrics:
-        # Callers get fresh row dicts so nobody can mutate the hot tier.
-        return [dict(row) for row in rows]
+    def _read_hot(self, key: str) -> Optional[Metrics]:
+        # Caller holds the lock.  Callers get fresh row dicts so nobody can
+        # mutate the LRU's copy.
+        hot = self._hot.get(key)
+        if hot is None:
+            return None
+        self.hits += 1
+        self.hot_hits += 1
+        return [dict(row) for row in hot]
 
     def get(self, key: str) -> Optional[Metrics]:
         """Stored metrics for ``key``, or ``None`` (counts hits/misses)."""
-        while True:
-            with self._lock:
-                self._require_connection()
-                hot = self._hot.get(key)
-                if hot is not None:
-                    self.hits += 1
-                    self.hot_hits += 1
-                    self._touch(key)
-                    return self._copy(hot)
-                row = (
-                    self._require_connection()
-                    .execute(
-                        "SELECT metrics, segment, entry FROM results WHERE key = ?",
-                        (key,),
-                    )
-                    .fetchone()
-                )
-                if row is None:
-                    self.misses += 1
-                    return None
-                metrics_json, segment, entry = row
-                if segment is None:
-                    metrics = json.loads(metrics_json)
-                    self._admit(key, metrics)
-                    self.hits += 1
-                    self.cold_hits += 1
-                    self._touch(key)
-                    return metrics
-            arrays = self._load_segment(segment)
-            if arrays is None:
-                # A compaction deleted the segment after we read the index;
-                # the index already points at the merged segment — retry.
-                continue
-            metrics = _decode_entry(arrays, int(entry))
-            with self._lock:
-                self._admit(key, metrics)
-                self.hits += 1
-                self.cold_hits += 1
-                self._touch(key)
-            return metrics
+        with self._lock:
+            connection = self._require_connection()
+            hot = self._read_hot(key)
+            if hot is not None:
+                return hot
+            row = connection.execute(
+                "SELECT metrics FROM results WHERE key = ?", (key,)
+            ).fetchone()
+            if row is None:
+                self.misses += 1
+                return None
+            return self._read_cold(key, row[0])
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Metrics]:
         """Bulk lookup: metrics for every stored key in ``keys``.
 
-        One index query per 500 keys instead of one per key — the fast path
-        for store-bound replay of large plans.  Counts hits/misses per key
-        occurrence exactly as per-key :meth:`get` calls would.
+        One query per 500 keys instead of one per key — the fast path for
+        store-bound replay of large plans.  Counts hits/misses per key
+        occurrence exactly as per-key :meth:`get` calls would: a repeated
+        key is a hot hit when found (its first occurrence admitted it) and
+        another miss when not.
         """
+        unique = list(dict.fromkeys(keys))
         found: Dict[str, Metrics] = {}
-        pending: List[str] = []
-        seen: set = set()
         with self._lock:
-            self._require_connection()
-            for key in keys:
-                if key in seen or key in found:
-                    continue
-                hot = self._hot.get(key)
-                if hot is not None:
-                    found[key] = self._copy(hot)
-                    self.hits += 1
-                    self.hot_hits += 1
-                    self._touch(key)
-                else:
-                    seen.add(key)
-                    pending.append(key)
             connection = self._require_connection()
-            located: List[Tuple[str, Optional[str], Optional[int], Optional[str]]] = []
+            pending: List[str] = []
+            for key in unique:
+                hot = self._read_hot(key)
+                if hot is None:
+                    pending.append(key)
+                else:
+                    found[key] = hot
             for start in range(0, len(pending), _SELECT_CHUNK):
                 chunk = pending[start : start + _SELECT_CHUNK]
                 placeholders = ",".join("?" for _ in chunk)
-                located.extend(
-                    connection.execute(
-                        "SELECT key, segment, entry, metrics FROM results "
-                        f"WHERE key IN ({placeholders})",
-                        chunk,
-                    ).fetchall()
-                )
-            by_segment: Dict[str, List[Tuple[str, int]]] = {}
-            for key, segment, entry, metrics_json in located:
-                if segment is None:
-                    metrics = json.loads(metrics_json)
-                    self._admit(key, metrics)
-                    found[key] = metrics
-                    self.hits += 1
-                    self.cold_hits += 1
-                    self._touch(key)
-                else:
-                    by_segment.setdefault(segment, []).append((key, int(entry)))
-            resolved = {key for key, *_ in located}
-            for key in pending:
-                if key not in resolved:
-                    self.misses += 1
-        for segment, members in by_segment.items():
-            arrays = self._load_segment(segment)
-            if arrays is None:
-                # Segment merged away mid-lookup: re-resolve those keys.
-                for key, _ in members:
-                    metrics = self.get(key)
-                    if metrics is not None:
-                        found[key] = metrics
-                continue
-            with self._lock:
-                for key, entry in members:
-                    metrics = _decode_entry(arrays, entry)
-                    self._admit(key, metrics)
-                    found[key] = metrics
-                    self.hits += 1
-                    self.cold_hits += 1
-                    self._touch(key)
-        # Count duplicate occurrences exactly as repeated get() calls would:
-        # later occurrences of a found key are hot hits (the first occurrence
-        # admitted the entry), of an absent key further misses.
-        first_seen: set = set()
-        duplicate_hits = 0
-        duplicate_misses = 0
-        for key in keys:
-            if key in first_seen:
-                if key in found:
-                    duplicate_hits += 1
-                else:
-                    duplicate_misses += 1
-            else:
-                first_seen.add(key)
-        if duplicate_hits or duplicate_misses:
-            with self._lock:
-                self.hits += duplicate_hits
-                self.hot_hits += duplicate_hits
-                self.misses += duplicate_misses
+                for key, metrics_json in connection.execute(
+                    f"SELECT key, metrics FROM results WHERE key IN ({placeholders})",
+                    chunk,
+                ):
+                    found[key] = self._read_cold(key, metrics_json)
+            duplicate_hits = sum(1 for key in keys if key in found) - len(found)
+            self.hits += duplicate_hits
+            self.hot_hits += duplicate_hits
+            self.misses += len(keys) - len(found) - duplicate_hits
         return found
-
-    def _admit(self, key: str, metrics: Sequence[Dict[str, Any]]) -> None:
-        # Caller holds the lock.
-        self.evictions += self._hot.admit(key, metrics)
-
-    def _load_segment(self, segment: str) -> Optional[Dict[str, np.ndarray]]:
-        """Decoded arrays of ``segment`` (cached), or ``None`` if the file is gone."""
-        with self._segment_cache_lock:
-            cached = self._segment_cache.get(segment)
-            if cached is not None:
-                self._segment_cache.move_to_end(segment)
-                return cached
-        if self.segments_dir is None:
-            return None
-        try:
-            with np.load(self.segments_dir / segment) as payload:
-                arrays = {name: payload[name] for name in payload.files}
-        except FileNotFoundError:
-            return None
-        with self._segment_cache_lock:
-            self._segment_cache[segment] = arrays
-            self._segment_cache.move_to_end(segment)
-            while len(self._segment_cache) > _SEGMENT_CACHE_SIZE:
-                self._segment_cache.popitem(last=False)
-        return arrays
 
     # -- write path ----------------------------------------------------------
 
@@ -669,334 +457,54 @@ class ResultStore:
     def put_many(self, entries: Iterable[Tuple[Task, Metrics]]) -> List[str]:
         """Store a batch of results in one transaction (a shard flush).
 
-        Columnar-eligible entries (all-float rows) spill together as one
-        ``.npz`` segment; the rest (and every entry of a ``:memory:`` store)
-        are stored inline in the index.  All entries are admitted to the hot
-        tier, so a put followed by a get is a hot hit.
+        Every entry is also admitted to the LRU, so a put followed by a get
+        is a hot hit.
         """
-        entries = list(entries)
-        with self._lock:
-            self._require_connection()
         now = datetime.now(timezone.utc).isoformat()
-        keyed: List[Tuple[str, Task, Metrics]] = [
-            (self.key_for(task), task, metrics) for task, metrics in entries
-        ]
-        spilled: List[Tuple[str, Metrics]] = []
-        segment_name: Optional[str] = None
-        if self.segments_dir is not None:
-            # Last occurrence of a duplicate key wins (INSERT OR REPLACE
-            # semantics), so only spill that occurrence.
-            last_index = {key: index for index, (key, _, _) in enumerate(keyed)}
-            spilled = [
-                (key, metrics)
-                for index, (key, _, metrics) in enumerate(keyed)
-                if _columnar_eligible(metrics) and last_index[key] == index
-            ]
-        if spilled:
-            segment_name = f"seg-{uuid.uuid4().hex[:12]}.npz"
-            self._write_segment(segment_name, spilled)
-        entry_index = {key: index for index, (key, _) in enumerate(spilled)}
-        rows = []
-        for key, task, metrics in keyed:
-            in_segment = segment_name is not None and key in entry_index
-            rows.append(
-                (
-                    key,
-                    task.function_ref,
-                    task.name,
-                    canonical_json(task.parameters),
-                    json.dumps(list(task.seeds)),
-                    self.code_version,
-                    "" if in_segment else json.dumps(metrics),
-                    now,
-                    segment_name if in_segment else None,
-                    entry_index[key] if in_segment else None,
-                )
+        keyed = [(self.key_for(task), task, metrics) for task, metrics in entries]
+        rows = [
+            (
+                key,
+                task.function_ref,
+                task.name,
+                canonical_json(task.parameters),
+                json.dumps(list(task.seeds)),
+                self.code_version,
+                json.dumps(metrics),
+                now,
             )
+            for key, task, metrics in keyed
+        ]
         with self._lock:
             connection = self._require_connection()
             connection.executemany(_INSERT, rows)
             connection.commit()
             for key, _, metrics in keyed:
-                self._admit(key, metrics)
-            self.spills += len(spilled)
-            segments_due = (
-                self._compaction_thread is not None
-                and self.segment_count() >= self._compact_threshold
-            )
-        if spilled:
-            with self._lock:
-                self._inflight_segments.discard(segment_name)
-        if segments_due:
-            self._compaction_wake.set()
+                self.evictions += self._hot.admit(key, metrics)
         return [key for key, _, _ in keyed]
 
-    def _write_segment(self, name: str, entries: Sequence[Tuple[str, Metrics]]) -> None:
-        assert self.segments_dir is not None
-        self.segments_dir.mkdir(parents=True, exist_ok=True)
-        with self._lock:
-            self._inflight_segments.add(name)
-        arrays = _encode_segment(entries)
-        np.savez(self.segments_dir / name, **arrays)
+    def compact(self) -> None:
+        """Checkpoint the write-ahead log into the database file.
 
-    # -- compaction ----------------------------------------------------------
-
-    def _compaction_loop(self, interval: float) -> None:
-        while not self._closing.is_set():
-            self._compaction_wake.wait(timeout=interval)
-            if self._closing.is_set():
-                return
-            self._compaction_wake.clear()
-            try:
-                if self._compaction_due():
-                    self.compact()
-            except Exception as error:  # pragma: no cover - defensive
-                # Surface the failure on the owning thread's next counters()
-                # call rather than dying silently (or spinning on it).
-                self.compaction_error = error
-                return
-
-    def _compaction_due(self) -> bool:
-        with self._lock:
-            if self._connection is None:
-                return False
-            segments = self.segment_count()
-        if segments >= self._compact_threshold:
-            return True
-        return segments > 0 and (
-            self._max_age_seconds is not None or self._cold_budget_bytes is not None
-        )
-
-    def segment_count(self) -> int:
-        """Number of live cold-tier segment files referenced by the index."""
-        with self._lock:
-            row = (
-                self._require_connection()
-                .execute("SELECT COUNT(DISTINCT segment) FROM results")
-                .fetchone()
-            )
-        return int(row[0])
-
-    def compact(self, *, force: bool = False) -> bool:
-        """Merge spill segments and apply the cold eviction policies.
-
-        Merges every live segment into one, drops entries older than
-        ``max_age_seconds`` (segment *and* inline rows) and — once the cold
-        tier exceeds ``cold_budget_bytes`` — the least-recently-used segment
-        entries.  Readers are not blocked: the index flips in one
-        transaction and old segment files are deleted only afterwards
-        (a reader that raced the deletion re-resolves through the index).
-
-        Returns ``True`` when anything was rewritten.  ``force`` compacts
-        even a single segment (tests use this for determinism).
+        The store's one maintenance call: it folds every committed write
+        into the main file and truncates the log, so later reads need not
+        consult it.  Readers in other processes are waited for, up to the
+        busy timeout.  A no-op for ``:memory:`` stores.
         """
-        with self._compact_lock:
-            compacted = self._compact_locked(force)
-        if compacted:
-            # Imported lazily: the store is import-cost sensitive and the
-            # tracer is a no-op unless one was installed.
-            from repro.obs.trace import get_tracer
-
-            tracer = get_tracer()
-            if getattr(tracer, "enabled", False):
-                tracer.event(
-                    "store_compaction",
-                    {"segments": self.segment_count(), "path": str(self.path)},
-                )
-        return compacted
-
-    def _compact_locked(self, force: bool) -> bool:
-        if self.segments_dir is None:
-            return False
         with self._lock:
-            connection = self._require_connection()
-            segment_rows = connection.execute(
-                "SELECT key, segment, entry, created_at FROM results "
-                "WHERE segment IS NOT NULL ORDER BY segment, entry"
-            ).fetchall()
-            inline_rows = (
-                connection.execute(
-                    "SELECT key, created_at FROM results WHERE segment IS NULL"
-                ).fetchall()
-                if self._max_age_seconds is not None
-                else []
-            )
-        segments = sorted({row[1] for row in segment_rows})
-        eviction_configured = (
-            self._max_age_seconds is not None or self._cold_budget_bytes is not None
-        )
-        if not force and len(segments) < 2 and not eviction_configured:
-            return False
-
-        now = datetime.now(timezone.utc)
-        cutoff: Optional[datetime] = None
-        if self._max_age_seconds is not None:
-            cutoff = now - timedelta(seconds=self._max_age_seconds)
-
-        # Decode every live segment entry outside the lock; skip rows whose
-        # location was overwritten since the snapshot (verified again below).
-        loaded: Dict[str, Dict[str, np.ndarray]] = {}
-        for segment in segments:
-            arrays = self._load_segment(segment)
-            if arrays is not None:
-                loaded[segment] = arrays
-        survivors: List[Tuple[str, str, int, Metrics]] = []
-        expired: List[Tuple[str, str, int]] = []
-        for key, segment, entry, created_at in segment_rows:
-            arrays = loaded.get(segment)
-            if arrays is None:
-                continue
-            if cutoff is not None and _parse_created(created_at) < cutoff:
-                expired.append((key, segment, entry))
-                continue
-            survivors.append((key, segment, entry, _decode_entry(arrays, int(entry))))
-
-        if self._cold_budget_bytes is not None:
-            survivors = self._apply_cold_budget(survivors, expired)
-
-        expired_inline: List[str] = []
-        if cutoff is not None:
-            expired_inline = [
-                key
-                for key, created_at in inline_rows
-                if _parse_created(created_at) < cutoff
-            ]
-
-        if not force and len(segments) < 2 and not expired and not expired_inline:
-            return False
-
-        merged_name: Optional[str] = None
-        if survivors:
-            merged_name = f"seg-{uuid.uuid4().hex[:12]}.npz"
-            self._write_segment(
-                merged_name, [(key, metrics) for key, _, _, metrics in survivors]
-            )
-
-        with self._lock:
-            connection = self._require_connection()
-            # Flip each key to the merged segment only if its location is
-            # still the one we read — a concurrent put wins otherwise.
-            connection.executemany(
-                "UPDATE results SET segment = ?, entry = ? "
-                "WHERE key = ? AND segment = ? AND entry = ?",
-                [
-                    (merged_name, index, key, old_segment, old_entry)
-                    for index, (key, old_segment, old_entry, _) in enumerate(survivors)
-                ],
-            )
-            connection.executemany(
-                "DELETE FROM results WHERE key = ? AND segment = ? AND entry = ?",
-                [(key, segment, entry) for key, segment, entry in expired],
-            )
-            connection.executemany(
-                "DELETE FROM results WHERE key = ? AND segment IS NULL",
-                [(key,) for key in expired_inline],
-            )
-            connection.commit()
-            for key, _, _ in expired:
-                self._hot.discard(key)
-                self._last_access.pop(key, None)
-            for key in expired_inline:
-                self._hot.discard(key)
-                self._last_access.pop(key, None)
-            self.compactions += 1
-            if merged_name is not None:
-                self._inflight_segments.discard(merged_name)
-        with self._segment_cache_lock:
-            for segment in segments:
-                self._segment_cache.pop(segment, None)
-        # The merged-away segments are referenced by no index row now —
-        # delete them immediately; racing readers re-resolve via the index.
-        for segment in segments:
-            if segment == merged_name:  # pragma: no cover - uuid collision
-                continue
-            try:
-                (self.segments_dir / segment).unlink()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        self._sweep_segment_files()
-        return True
-
-    def _apply_cold_budget(
-        self,
-        survivors: List[Tuple[str, str, int, Metrics]],
-        expired: List[Tuple[str, str, int]],
-    ) -> List[Tuple[str, str, int, Metrics]]:
-        """Drop least-recently-used survivors until under ``cold_budget_bytes``."""
-        sized = [
-            (entry, _estimate_entry_bytes(entry[3])) for entry in survivors
-        ]
-        total = sum(size for _, size in sized)
-        if total <= self._cold_budget_bytes:
-            return survivors
-        with self._lock:
-            recency = dict(self._last_access)
-        # Oldest access first; never-accessed entries sort before any access
-        # (recency 0) in their original insertion order.
-        order = sorted(
-            range(len(sized)), key=lambda i: (recency.get(sized[i][0][0], 0), i)
-        )
-        dropped: set = set()
-        for index in order:
-            if total <= self._cold_budget_bytes:
-                break
-            entry, size = sized[index]
-            dropped.add(index)
-            total -= size
-            expired.append((entry[0], entry[1], entry[2]))
-        return [entry for i, (entry, _) in enumerate(sized) if i not in dropped]
-
-    def _sweep_segment_files(self) -> None:
-        """Delete segment files no longer referenced by the index.
-
-        Files younger than a grace period, or still being written by a
-        concurrent ``put_many`` in this process, are left alone — another
-        process may not have committed its index rows yet.
-        """
-        if self.segments_dir is None or not self.segments_dir.exists():
-            return
-        with self._lock:
-            connection = self._connection
-            if connection is None:
-                return
-            live = {
-                row[0]
-                for row in connection.execute(
-                    "SELECT DISTINCT segment FROM results WHERE segment IS NOT NULL"
-                )
-            }
-            inflight = set(self._inflight_segments)
-        for path in self.segments_dir.glob("seg-*.npz"):
-            if path.name in live or path.name in inflight:
-                continue
-            try:
-                if time.time() - path.stat().st_mtime < _ORPHAN_GRACE_SECONDS:
-                    continue
-                path.unlink()
-            except OSError:  # pragma: no cover - raced by another process
-                continue
+            self._require_connection().execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     # -- introspection ---------------------------------------------------------
 
     def counters(self) -> StoreCounters:
-        """Atomic snapshot of this instance's tier counters.
-
-        Re-raises an exception that killed the background compaction thread
-        (it has nowhere else to surface).
-        """
+        """Atomic snapshot of this instance's counters."""
         with self._lock:
-            if self.compaction_error is not None:
-                error = self.compaction_error
-                self.compaction_error = None
-                raise RuntimeError("background compaction failed") from error
             return StoreCounters(
                 hits=self.hits,
                 misses=self.misses,
                 hot_hits=self.hot_hits,
                 cold_hits=self.cold_hits,
-                spills=self.spills,
                 evictions=self.evictions,
-                compactions=self.compactions,
             )
 
     @property
@@ -1013,14 +521,12 @@ class ResultStore:
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            self._require_connection()
+            connection = self._require_connection()
             if key in self._hot:
                 return True
-            row = (
-                self._require_connection()
-                .execute("SELECT 1 FROM results WHERE key = ?", (key,))
-                .fetchone()
-            )
+            row = connection.execute(
+                "SELECT 1 FROM results WHERE key = ?", (key,)
+            ).fetchone()
         return row is not None
 
     def __len__(self) -> int:
@@ -1033,12 +539,7 @@ class ResultStore:
         return int(row[0])
 
     def close(self) -> None:
-        """Stop the compaction thread and close the sqlite index (idempotent)."""
-        self._closing.set()
-        self._compaction_wake.set()
-        if self._compaction_thread is not None:
-            self._compaction_thread.join(timeout=10.0)
-            self._compaction_thread = None
+        """Close the sqlite connection (idempotent)."""
         with self._lock:
             if self._connection is not None:
                 self._connection.close()
@@ -1054,10 +555,3 @@ class ResultStore:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
-
-
-def _parse_created(created_at: str) -> datetime:
-    parsed = datetime.fromisoformat(created_at)
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed

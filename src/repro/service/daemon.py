@@ -28,9 +28,10 @@ Endpoints (API v1 — every route lives under ``/v1/``)::
     GET  /v1/jobs/<id>/trace   the job's buffered span records (trace id,
                                span start/end events, shard timings)
     GET  /v1/healthz           liveness + version
-    GET  /v1/stats             store tier counters (hot/cold hits, spills,
-                               evictions, compactions, residency) + queue
-                               depth + job counts + queue-wait percentiles
+    GET  /v1/stats             store counters (hits, misses, hot/cold
+                               hits, evictions, rows, LRU residency) +
+                               queue depth + job counts + queue-wait
+                               percentiles
     GET  /v1/metrics           Prometheus text exposition: the same store
                                counters as /stats (one snapshot source, so
                                they never disagree), the queue-wait
@@ -140,7 +141,6 @@ class SimulationService:
             ("rows", len(self.store)),
             ("hot_entries", self.store.hot_entries),
             ("hot_bytes", self.store.hot_bytes),
-            ("segments", self.store.segment_count()),
         ):
             yield (
                 f"repro_store_{name}",
@@ -220,9 +220,8 @@ class SimulationService:
         """The ``/stats`` payload: store counters plus queue counters."""
         store_stats: Dict[str, Any] = {"attached": self.store is not None}
         if self.store is not None:
-            # The full tier breakdown: hits/misses as before, plus hot/cold
-            # hit attribution, spill/eviction/compaction activity and the
-            # current residency of each tier.
+            # Hits/misses with their hot/cold attribution, LRU evictions,
+            # and the current row count and LRU residency.
             store_stats.update(self.store.counters().as_dict())
             store_stats.update(
                 {
@@ -230,7 +229,6 @@ class SimulationService:
                     "rows": len(self.store),
                     "hot_entries": self.store.hot_entries,
                     "hot_bytes": self.store.hot_bytes,
-                    "segments": self.store.segment_count(),
                 }
             )
         return {

@@ -46,7 +46,7 @@ from repro.experiments import (
     run_replications,
     run_sweep,
 )
-from repro.runtime.options import ExecutionOptions, resolve_options
+from repro.runtime.options import ExecutionOptions
 from repro.runtime.store import canonical_json
 
 SWEEP = "sweep"
@@ -564,22 +564,16 @@ def execute_request(
     request: SimulationRequest,
     *,
     options: Optional[ExecutionOptions] = None,
-    executor: Any = None,
-    store: Any = None,
     prepared: Optional[PreparedRequest] = None,
 ) -> RequestResult:
     """Execute ``request`` and return its result table.
 
     ``options`` — an :class:`~repro.runtime.options.ExecutionOptions` —
     routes execution through the parallel runtime exactly as the CLI's
-    ``--workers``/``--store`` flags do; the legacy ``executor=``/``store=``
-    keyword arguments still work but emit ``DeprecationWarning``.  Pass a
-    ``prepared`` request to reuse a prior :func:`prepare_request` derivation
-    (e.g. when a front end already resolved it for display purposes).
+    ``--workers``/``--store`` flags do.  Pass a ``prepared`` request to
+    reuse a prior :func:`prepare_request` derivation (e.g. when a front end
+    already resolved it for display purposes).
     """
-    options = resolve_options(
-        options, executor=executor, store=store, owner="execute_request"
-    )
     prepared = prepared if prepared is not None else prepare_request(request)
     notes: Tuple[str, ...] = ()
     if prepared.grid is not None:

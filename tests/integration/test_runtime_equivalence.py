@@ -19,7 +19,12 @@ from repro.experiments.dynamics_sweep import (
     dynamics_point_replication,
 )
 from repro.experiments.protocol_sweep import protocol_batched_replication
-from repro.runtime import ParallelExecutor, ResultStore, SerialExecutor
+from repro.runtime import (
+    ExecutionOptions,
+    ParallelExecutor,
+    ResultStore,
+    SerialExecutor,
+)
 
 GRID = ParameterGrid({"N": [60, 120], "beta": [0.6, 0.7]})
 BASE = {"qualities": (0.8, 0.5), "T": 10}
@@ -31,7 +36,7 @@ REPLICATIONS = {
 }
 
 
-def sweep_metrics(replication, **kwargs):
+def sweep_metrics(replication, **options):
     results, _ = run_sweep(
         "runtime-xval",
         GRID,
@@ -39,7 +44,7 @@ def sweep_metrics(replication, **kwargs):
         replications=3,
         seed=17,
         base_parameters=BASE,
-        **kwargs,
+        options=ExecutionOptions(**options) if options else None,
     )
     return [result.metrics for result in results]
 
@@ -120,10 +125,11 @@ def test_run_replications_executor_and_store_round_trip(tmp_path):
         sharded = run_replications(
             config,
             dynamics_point_replication,
-            executor=ParallelExecutor(2),
-            store=store,
+            options=ExecutionOptions(executor=ParallelExecutor(2), store=store),
         )
-        replayed = run_replications(config, dynamics_point_replication, store=store)
+        replayed = run_replications(
+            config, dynamics_point_replication, options=ExecutionOptions(store=store)
+        )
         assert store.hits == 4
     assert sharded.metrics == baseline.metrics
     assert replayed.metrics == baseline.metrics

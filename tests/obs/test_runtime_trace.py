@@ -28,6 +28,7 @@ from repro.obs import (
     MemorySink,
     Tracer,
     get_registry,
+    get_tracer,
     set_ambient_context,
     set_tracer,
     validate_record,
@@ -223,6 +224,23 @@ class TestRunPlanTracing:
         assert len(warm_run_plans) == 2
         assert warm_run_plans[0]["span"] == warm_run_plans[1]["span"]
         assert len(records_by_name(sink, "shard")) == task_count  # cold only
+
+    def test_untraced_run_counts_cache_hits_and_misses(self, tmp_path):
+        # The plan cache counters belong to the store lookup, not to
+        # tracing: an untraced run must move them too.
+        assert not get_tracer().enabled
+        registry = get_registry()
+        hits = registry.counter("repro_plan_cache_hits_total")
+        misses = registry.counter("repro_plan_cache_misses_total")
+        with ResultStore(tmp_path / "untraced.sqlite") as store:
+            options = ExecutionOptions(store=store)
+            execute_request(sweep(replications=2), options=options)
+            hits_before, misses_before = hits.value(), misses.value()
+            # Per-seed tasks: the first two seeds of each point are cached.
+            execute_request(sweep(replications=4), options=options)
+            assert (store.hits, store.misses) == (4, 4 + 4)
+        assert hits.value() - hits_before == 4
+        assert misses.value() - misses_before == 4
 
     def test_shard_spans_carry_worker_timing_and_rows(self, tracing):
         tracer, sink = tracing

@@ -1,4 +1,4 @@
-"""ExecutionOptions: validation, resolution, and the legacy-kwargs shim."""
+"""ExecutionOptions: validation and resolution."""
 
 from __future__ import annotations
 
@@ -6,11 +6,9 @@ import warnings
 
 import pytest
 
-from repro.experiments import ParameterGrid, run_sweep, sweep_configs
-from repro.experiments.dynamics_sweep import dynamics_point_replication
-from repro.experiments.runner import run_replications
+from repro.experiments import ParameterGrid
 from repro.runtime import ParallelExecutor, ResultStore, SerialExecutor
-from repro.runtime.options import ExecutionOptions, resolve_options
+from repro.runtime.options import ExecutionOptions
 from repro.service import execute_request, sweep_request
 
 BASE = {"qualities": (0.8, 0.5), "T": 6}
@@ -69,84 +67,7 @@ class TestResolution:
         assert merged == {"N": 40, "backend": "numpy"}
 
 
-class TestResolveOptionsShim:
-    def test_no_legacy_kwargs_pass_through(self):
-        options = ExecutionOptions()
-        assert resolve_options(options) is options
-        assert resolve_options(None) is None
-
-    def test_legacy_kwargs_warn_and_build_options(self):
-        executor = SerialExecutor()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            resolved = resolve_options(None, executor=executor, owner="run_x")
-        assert resolved is not None
-        assert resolved.executor is executor
-
-    def test_mixing_spellings_is_an_error(self):
-        with pytest.raises(ValueError, match="both options="):
-            resolve_options(
-                ExecutionOptions(), executor=SerialExecutor(), owner="run_x"
-            )
-
-
-class TestBothSpellingsBitIdentical:
-    def test_run_sweep(self):
-        executor = SerialExecutor()
-        new_results, new_table = run_sweep(
-            "opts",
-            GRID,
-            dynamics_point_replication,
-            replications=2,
-            seed=3,
-            base_parameters=BASE,
-            options=ExecutionOptions(executor=executor),
-        )
-        with pytest.warns(DeprecationWarning):
-            old_results, old_table = run_sweep(
-                "opts",
-                GRID,
-                dynamics_point_replication,
-                replications=2,
-                seed=3,
-                base_parameters=BASE,
-                executor=executor,
-            )
-        assert [r.metrics for r in old_results] == [r.metrics for r in new_results]
-        assert old_table.rows == new_table.rows
-
-    def test_run_replications(self):
-        (config,) = sweep_configs(
-            "opts", GRID, replications=2, seed=3, base_parameters=BASE
-        )
-        executor = SerialExecutor()
-        new = run_replications(
-            config,
-            dynamics_point_replication,
-            options=ExecutionOptions(executor=executor),
-        )
-        with pytest.warns(DeprecationWarning):
-            old = run_replications(
-                config, dynamics_point_replication, executor=executor
-            )
-        assert old.metrics == new.metrics
-
-    def test_execute_request(self):
-        request = sweep_request(
-            options=[0.8, 0.5],
-            populations=[40],
-            horizon=6,
-            replications=2,
-            engine="loop",
-        )
-        executor = SerialExecutor()
-        new = execute_request(
-            request, options=ExecutionOptions(executor=executor)
-        )
-        with pytest.warns(DeprecationWarning):
-            old = execute_request(request, executor=executor)
-        assert old.rows == new.rows
-        assert old.description == new.description
-
+class TestNewSpelling:
     def test_new_spelling_does_not_warn(self):
         request = sweep_request(
             options=[0.8, 0.5],

@@ -100,28 +100,25 @@ class TestHealthAndStats:
             "misses",
             "hot_hits",
             "cold_hits",
-            "spills",
             "evictions",
-            "compactions",
             "hot_entries",
             "hot_bytes",
-            "segments",
         ):
             assert counter in store_stats, counter
             assert store_stats[counter] == 0
+        assert not {"spills", "compactions", "segments"} & set(store_stats)
 
     def test_warm_job_shows_up_in_tier_counters(self, client):
         request = sweep_request(**SWEEP_KWARGS)
         client.wait(client.submit(request)["job_id"])
         client.wait(client.submit(request)["job_id"])
         store_stats = client.stats()["store"]
-        # The cold job spilled its tasks; the warm one replayed them from
+        # The cold job wrote its tasks; the warm one replayed them from
         # the hot tier (they were admitted on put).
-        assert store_stats["spills"] == 2
+        assert store_stats["rows"] == 2
         assert store_stats["hits"] == 2
         assert store_stats["hot_hits"] == 2
         assert store_stats["hot_entries"] == 2
-        assert store_stats["segments"] >= 1
 
 
 class TestEndToEnd:

@@ -30,11 +30,9 @@ STORE_COUNTERS = (
     "misses",
     "hot_hits",
     "cold_hits",
-    "spills",
     "evictions",
-    "compactions",
 )
-STORE_GAUGES = ("rows", "hot_entries", "hot_bytes", "segments")
+STORE_GAUGES = ("rows", "hot_entries", "hot_bytes")
 
 
 @pytest.fixture()

@@ -480,7 +480,8 @@ class TestRuntimeFlags:
         arguments = self.SWEEP + ["--store", store, "--store-hot-mb", "8"]
         assert main(arguments) == 0
         cold = capsys.readouterr().out
-        assert "4 spills" in cold
+        assert "0 cache hits, 4 misses, 4 rows" in cold
+        assert "tiers: 0 hot hits, 0 cold hits, 0 evictions" in cold
         assert main(arguments + ["--resume"]) == 0
         warm = capsys.readouterr().out
         assert "4 cache hits, 0 misses, 4 rows" in warm
