@@ -69,12 +69,11 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro import __version__
-from repro.backends import BACKENDS, PRECISIONS
 from repro.campaign import (
     BACKEND_NAMES as CAMPAIGN_BACKENDS,
     BrokerError,
@@ -113,27 +112,18 @@ from repro.service.requests import (
     sweep_request,
 )
 from repro.utils.ascii_plot import ascii_line_plot
+from repro.utils.precision import PRECISIONS
 
 
-def _add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Attach the array-engine flags shared by sweep/network/protocol."""
-    engine = subparser.add_argument_group(
-        "array engine",
-        "select the array backend and storage precision of the batched "
-        "engines (see the README's 'Backends & precision' section); "
-        "non-default values require --engine batched and get their own "
-        "result-store cache entries",
+def _add_precision_arguments(subparser: argparse.ArgumentParser) -> None:
+    """Attach the storage-precision flag shared by sweep/network/protocol."""
+    precision = subparser.add_argument_group(
+        "storage precision",
+        "select the storage precision of the batched engines (see the "
+        "README's 'Precision' section); a non-default value requires "
+        "--engine batched and gets its own result-store cache entries",
     )
-    engine.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help=(
-            "array backend (default numpy; cupy/torch are optional extras "
-            "and fail fast when not installed)"
-        ),
-    )
-    engine.add_argument(
+    precision.add_argument(
         "--dtype",
         choices=tuple(PRECISIONS),
         default=None,
@@ -424,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument("--output", type=str, default=None)
-    _add_engine_arguments(sweep)
+    _add_precision_arguments(sweep)
     _add_runtime_arguments(sweep)
 
     network = subparsers.add_parser(
@@ -475,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     network.add_argument("--output", type=str, default=None, help="write the summary table to this CSV path")
-    _add_engine_arguments(network)
+    _add_precision_arguments(network)
     _add_runtime_arguments(network)
 
     protocol = subparsers.add_parser(
@@ -526,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     protocol.add_argument("--output", type=str, default=None, help="write the summary table to this CSV path")
-    _add_engine_arguments(protocol)
+    _add_precision_arguments(protocol)
     _add_runtime_arguments(protocol)
 
     serve = subparsers.add_parser(
@@ -922,7 +912,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             replications=args.replications,
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             dtype=args.dtype,
         )
     except RequestError as error:
@@ -964,7 +953,6 @@ def _command_network(args: argparse.Namespace) -> int:
             replications=args.replications,
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             dtype=args.dtype,
         )
     except RequestError as error:
@@ -1015,7 +1003,6 @@ def _command_protocol(args: argparse.Namespace) -> int:
             replications=args.replications,
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             dtype=args.dtype,
         )
     except RequestError as error:

@@ -51,18 +51,13 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.backends import (
-    BackendLike,
-    PrecisionLike,
-    get_namespace,
-    resolve_precision,
-)
 from repro.core.adoption import AdoptionRule, SymmetricAdoptionRule
 from repro.core.batched import BatchedPopulationState, BatchedTrajectory
 from repro.distributed.failures import FailureModel, NoFailures
 from repro.distributed.protocol import ProtocolBase
 from repro.distributed.transport import TransportStats
 from repro.environments.base import RewardEnvironment
+from repro.utils.precision import PrecisionLike, resolve_precision
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import (
     check_non_negative_int,
@@ -375,13 +370,6 @@ class BatchedProtocol:
         Re-query attempts before falling back to uniform exploration.
     rng:
         Seed or generator.
-    backend:
-        Array backend name or instance (default NumPy); see
-        :func:`repro.backends.get_namespace`.  Accepted for interface
-        symmetry with the other batched engines: the protocol's compressed
-        retry bookkeeping (array-``high`` integer draws over shrinking index
-        sets) is inherently host-side, so rounds always execute through the
-        host NumPy generator regardless of the backend chosen.
     precision:
         Storage precision (default float64/int64).  Random draws always run
         in float64, so the stored-state dtype does not perturb the stream.
@@ -400,7 +388,6 @@ class BatchedProtocol:
         mass_failure_fraction: float = 0.0,
         max_query_attempts: int = 6,
         rng: RngLike = None,
-        backend: BackendLike = None,
         precision: PrecisionLike = None,
     ) -> None:
         self._num_nodes = check_positive_int(num_nodes, "num_nodes")
@@ -423,7 +410,6 @@ class BatchedProtocol:
         self._max_query_attempts = check_positive_int(
             max_query_attempts, "max_query_attempts"
         )
-        self._backend = get_namespace(backend)
         self._precision = resolve_precision(precision)
         self._precision.check_count_value(int(num_nodes), "num_nodes")
         self._rng = ensure_rng(rng)
@@ -463,13 +449,8 @@ class BatchedProtocol:
         return self._fallback_explorations
 
     @property
-    def backend(self):
-        """The array backend the protocol was configured with."""
-        return self._backend
-
-    @property
     def precision(self):
-        """The storage :class:`~repro.backends.Precision` of the protocol."""
+        """The storage :class:`~repro.utils.precision.Precision` of the protocol."""
         return self._precision
 
     def choices(self) -> np.ndarray:

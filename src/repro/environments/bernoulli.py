@@ -6,8 +6,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.backends import PrecisionLike, resolve_precision
 from repro.environments.base import RewardEnvironment
+from repro.utils.precision import PrecisionLike, resolve_precision
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_in_range, check_positive_int, check_quality_vector
 

@@ -33,9 +33,9 @@ Parameter convention (per grid point, merged with ``base_parameters``):
 ``mu``
     Exploration rate (default: the theorem maximum ``min(1, delta^2/6)``
     evaluated at that point's own ``(alpha, beta)``).
-``backend`` / ``dtype``
-    Optional array backend and storage precision, shared by every point of a
-    batch (grid engine only; the loop engine refuses non-default values) —
+``dtype``
+    Optional storage precision, shared by every point of a batch (grid
+    engine only; the loop engine refuses non-default values) —
     see :mod:`repro.experiments.engine_options`.
 
 Both engines report the same metrics per replicate — ``regret`` (expected
@@ -107,7 +107,6 @@ class FlatGrid:
     mu: np.ndarray  # (G*R,)
     horizon: int
     replications: int
-    backend: Optional[str] = None  # array backend name, None = numpy
     dtype: Optional[str] = None  # storage precision name, None = float64
 
     @property
@@ -137,7 +136,6 @@ class FlatGrid:
             adoption_rule=RowwiseAdoptionRule(self.alpha, self.beta),
             sampling_rule=MixtureSampling(self.mu),
             rng=rng,
-            backend=self.backend,
             precision=self.dtype,
         )
         return dynamics, environment
@@ -161,14 +159,13 @@ def flatten_grid(points: Sequence[Dict[str, Any]], replications: int) -> FlatGri
     betas: List[float] = []
     mus: List[float] = []
     horizons = set()
-    option_pairs = {engine_options(parameters) for parameters in points}
-    if len(option_pairs) != 1:
+    dtypes = {engine_options(parameters) for parameters in points}
+    if len(dtypes) != 1:
         raise ValueError(
-            "the flattened batch runs on one backend at one precision, so "
-            "every grid point must share the same backend/dtype; got "
-            f"{sorted(option_pairs, key=repr)}"
+            "the flattened batch runs at one precision, so every grid point "
+            f"must share the same dtype; got {sorted(dtypes, key=repr)}"
         )
-    backend, dtype = option_pairs.pop()
+    dtype = dtypes.pop()
     for parameters in points:
         qualities, population, horizon, alpha, beta, mu = _point_parameters(parameters)
         if mu is None:
@@ -210,7 +207,6 @@ def flatten_grid(points: Sequence[Dict[str, Any]], replications: int) -> FlatGri
         mu=np.repeat(np.asarray(mus), replications),
         horizon=horizons.pop(),
         replications=replications,
-        backend=backend,
         dtype=dtype,
     )
 

@@ -41,9 +41,9 @@ Parameter convention (per grid point, merged with ``base_parameters``):
     Optional topology-family parameters (ring half-width, Erdős–Rényi edge
     probability, Barabási–Albert attachments, Watts–Strogatz neighbours and
     rewiring probability); defaults match ``SocialNetwork.standard_suite``.
-``backend`` / ``dtype``
-    Optional array backend and storage precision (batched engine only; the
-    per-seed engines refuse non-default values) — see
+``dtype``
+    Optional storage precision (batched engine only; the per-seed engines
+    refuse non-default values) — see
     :mod:`repro.experiments.engine_options`.
 
 All engines report the same per-replicate metrics — ``regret`` and
@@ -212,7 +212,7 @@ def network_batched_replication(
     (the standard batched-engine trade-off).
     """
     qualities, horizon, beta, mu = _point_parameters(parameters)
-    backend, dtype = engine_options(parameters)
+    dtype = engine_options(parameters)
     network = build_network(parameters)
     generator = np.random.default_rng(list(seeds))
     environment = BernoulliEnvironment(qualities, rng=generator)
@@ -223,7 +223,6 @@ def network_batched_replication(
         adoption_rule=SymmetricAdoptionRule(beta),
         exploration_rate=mu,
         rng=generator,
-        backend=backend,
         precision=dtype,
     )
     trajectory = dynamics.run(environment, horizon)

@@ -42,9 +42,9 @@ Parameter convention (per grid point, merged with ``base_parameters``):
     the fraction of surviving nodes it kills (default 0.0).
 ``max_query_attempts``
     Re-query attempts before falling back to uniform exploration (default 6).
-``backend`` / ``dtype``
-    Optional array backend and storage precision (batched engine only; the
-    per-seed engines refuse non-default values) — see
+``dtype``
+    Optional storage precision (batched engine only; the per-seed engines
+    refuse non-default values) — see
     :mod:`repro.experiments.engine_options`.
 
 All engines report the same per-replicate metrics — ``regret`` (realised,
@@ -203,7 +203,7 @@ def protocol_batched_replication(
     """
     point = _point_parameters(parameters)
     _require_no_delay(point, "batched")
-    backend, dtype = engine_options(parameters)
+    dtype = engine_options(parameters)
     generator = np.random.default_rng(list(seeds))
     environment = BernoulliEnvironment(point["qualities"], rng=generator)
     protocol = BatchedProtocol(
@@ -218,7 +218,6 @@ def protocol_batched_replication(
         mass_failure_fraction=point["mass_crash_fraction"],
         max_query_attempts=point["max_query_attempts"],
         rng=generator,
-        backend=backend,
         precision=dtype,
     )
     result = protocol.run(environment, point["T"])

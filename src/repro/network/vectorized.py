@@ -40,12 +40,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backends import (
-    BackendLike,
-    PrecisionLike,
-    get_namespace,
-    resolve_precision,
-)
 from repro.core.adoption import AdoptionRule, SymmetricAdoptionRule
 from repro.core.batched import BatchedPopulationState, BatchedTrajectory
 from repro.core.sampling import default_exploration_rate
@@ -54,7 +48,8 @@ from repro.environments.base import RewardEnvironment
 from repro.network.dynamics import NetworkDynamicsBase
 from repro.network.kernels import HAS_NUMBA, fused_neighbor_pick
 from repro.network.topology import SocialNetwork
-from repro.utils.rng import RngLike
+from repro.utils.precision import PrecisionLike, resolve_precision
+from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
 
 
@@ -306,9 +301,6 @@ class BatchedNetworkDynamics:
         The probability ``mu`` of uniform exploration in stage (1).
     rng:
         Seed or generator.
-    backend:
-        Array backend name or instance (default NumPy); see
-        :func:`repro.backends.get_namespace`.
     precision:
         Storage precision (default float64/int64).  Random draws always run
         in float64, so the stored-state dtype does not perturb the stream —
@@ -327,7 +319,6 @@ class BatchedNetworkDynamics:
         adoption_rule: Optional[AdoptionRule] = None,
         exploration_rate: float = 0.05,
         rng: RngLike = None,
-        backend: BackendLike = None,
         precision: PrecisionLike = None,
         use_numba: Optional[bool] = None,
     ) -> None:
@@ -338,14 +329,13 @@ class BatchedNetworkDynamics:
         self._num_replicates = check_positive_int(num_replicates, "num_replicates")
         self._adoption_rule = adoption_rule or SymmetricAdoptionRule(0.6)
         self._mu = check_probability(exploration_rate, "exploration_rate")
-        self._backend = get_namespace(backend)
         self._precision = resolve_precision(precision)
         self._precision.check_count_value(int(network.size), "network size")
         self._use_numba = resolve_use_numba(use_numba)
-        self._rng = self._backend.rng(rng)
+        self._rng = ensure_rng(rng)
         self._time = 0
-        self._choices = self._backend.to_numpy(
-            self._rng.integers(num_options, size=(num_replicates, network.size))
+        self._choices = self._rng.integers(
+            num_options, size=(num_replicates, network.size)
         ).astype(self._precision.int_dtype)
         # Constant across steps; precomputed so the hot loop's matvec is a
         # pure gather + add + bincount.
@@ -383,13 +373,8 @@ class BatchedNetworkDynamics:
         return self._time
 
     @property
-    def backend(self):
-        """The array backend the engine draws randomness through."""
-        return self._backend
-
-    @property
     def precision(self):
-        """The storage :class:`~repro.backends.Precision` of the engine."""
+        """The storage :class:`~repro.utils.precision.Precision` of the engine."""
         return self._precision
 
     @property
@@ -461,16 +446,13 @@ class BatchedNetworkDynamics:
         if np.any((rewards != 0) & (rewards != 1)):
             raise ValueError("rewards must be binary")
 
-        to_numpy = self._backend.to_numpy
         shape = (self._num_replicates, self._network.size)
-        explore_mask = to_numpy(self._rng.random(shape)) < self._mu
-        uniform_options = to_numpy(
-            self._rng.integers(self._num_options, size=shape)
-        ).astype(np.int64)
+        explore_mask = self._rng.random(shape) < self._mu
+        uniform_options = self._rng.integers(self._num_options, size=shape)
 
         # Stage 1: either the fused single-pass CSR kernel or the two-pass
         # gather + inverse-CDF path — bit-identical given the same uniforms.
-        pick_uniforms = to_numpy(self._rng.random(shape))
+        pick_uniforms = self._rng.random(shape)
         if self._use_numba:
             neighbor_pick, totals = fused_neighbor_pick(
                 self._network, self._choices, pick_uniforms, self._num_options
@@ -492,7 +474,7 @@ class BatchedNetworkDynamics:
         adopt_probability = self._adoption_rule.adopt_probabilities(
             considered_rewards
         )
-        adopted = to_numpy(self._rng.random(shape)) < adopt_probability
+        adopted = self._rng.random(shape) < adopt_probability
         self._choices = np.where(adopted, considered, -1).astype(
             self._precision.int_dtype
         )
@@ -532,7 +514,6 @@ def simulate_batched_network_dynamics(
     beta: float = 0.6,
     mu: Optional[float] = None,
     rng: RngLike = None,
-    backend: BackendLike = None,
     precision: PrecisionLike = None,
     use_numba: Optional[bool] = None,
 ) -> BatchedTrajectory:
@@ -554,7 +535,6 @@ def simulate_batched_network_dynamics(
         adoption_rule=adoption_rule,
         exploration_rate=mu,
         rng=rng,
-        backend=backend,
         precision=precision,
         use_numba=use_numba,
     )

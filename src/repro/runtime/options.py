@@ -16,9 +16,9 @@ the campaign scheduler build and thread through every layer
     A :class:`~repro.runtime.store.ResultStore` serving cache hits and
     persisting completed shards for resume.
 ``engine_options``
-    Extra per-point parameters (e.g. ``{"backend": "torch", "dtype":
-    "float32"}``) merged over every grid point's parameter dict — they ride
-    into result rows and content-address keys like any other parameter.
+    Extra per-point parameters (e.g. ``{"dtype": "float32"}``) merged over
+    every grid point's parameter dict — they ride into result rows and
+    content-address keys like any other parameter.
 ``tracer``
     An optional :class:`~repro.obs.trace.Tracer`.  When set, execution
     routes through the runtime path and every shard/node records a span;

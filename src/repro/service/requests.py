@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.backends import BACKENDS, PRECISIONS
 from repro.experiments import (
     NETWORK_ENGINES,
     NETWORK_REPLICATIONS,
@@ -48,6 +47,7 @@ from repro.experiments import (
 )
 from repro.runtime.options import ExecutionOptions
 from repro.runtime.store import canonical_json
+from repro.utils.precision import PRECISIONS
 
 SWEEP = "sweep"
 NETWORK = "network"
@@ -174,42 +174,32 @@ def _engine(value: str, allowed: Tuple[str, ...]) -> str:
     return value
 
 
-def _backend_dtype_fields(
-    engine: str, backend: Any, dtype: Any
-) -> Dict[str, Any]:
-    """Validate and canonicalise a request's ``backend``/``dtype`` pair.
+def _dtype_fields(engine: str, dtype: Any) -> Dict[str, Any]:
+    """Validate and canonicalise a request's ``dtype``.
 
-    Default selections (``None``, ``"numpy"``, ``"float64"``) normalise to
-    *absent* fields, so requests predating these knobs keep their content
-    addresses; non-default selections become spec fields — and therefore
-    part of the request key and of every per-point parameter dict the
+    The default (``None`` or ``"float64"``) normalises to an *absent* field,
+    so requests predating the knob keep their content addresses; a
+    non-default dtype becomes a spec field — and therefore part of the
+    request key and of every per-point parameter dict the
     :class:`~repro.runtime.store.ResultStore` keys on — so a float32 run can
-    never hit a float64 cache entry.  Non-default values need the batched
-    engine (the per-seed paths always run NumPy float64).
+    never hit a float64 cache entry.  A non-default dtype needs the batched
+    engine (the per-seed paths always run float64).
     """
-    fields: Dict[str, Any] = {}
-    if backend is not None:
-        backend = str(backend)
-        _require(
-            backend in BACKENDS,
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}",
-        )
-        if backend != "numpy":
-            fields["backend"] = backend
-    if dtype is not None:
-        dtype = str(dtype)
-        _require(
-            dtype in PRECISIONS,
-            f"unknown dtype {dtype!r}; expected one of {', '.join(PRECISIONS)}",
-        )
-        if dtype != "float64":
-            fields["dtype"] = dtype
-    if fields and engine != "batched":
+    if dtype is None:
+        return {}
+    dtype = str(dtype)
+    _require(
+        dtype in PRECISIONS,
+        f"unknown dtype {dtype!r}; expected one of {', '.join(PRECISIONS)}",
+    )
+    if dtype == "float64":
+        return {}
+    if engine != "batched":
         raise RequestError(
-            "backend/dtype overrides need the batched engine (the per-seed "
-            f"engines always run numpy/float64); got engine={engine!r}"
+            "dtype overrides need the batched engine (the per-seed engines "
+            f"always run float64); got engine={engine!r}"
         )
-    return fields
+    return {"dtype": dtype}
 
 
 def sweep_request(
@@ -223,7 +213,6 @@ def sweep_request(
     replications: int = 3,
     seed: int = 0,
     engine: str = "batched",
-    backend: Any = None,
     dtype: Any = None,
 ) -> SimulationRequest:
     """A ``repro sweep`` workload: the dynamics over a ``N x beta x mu`` grid."""
@@ -241,7 +230,7 @@ def sweep_request(
         spec["betas"] = _float_list("betas", betas)
     if mus is not None:
         spec["mus"] = _float_list("mus", mus)
-    spec.update(_backend_dtype_fields(engine, backend, dtype))
+    spec.update(_dtype_fields(engine, dtype))
     return SimulationRequest(kind=SWEEP, spec=spec)
 
 
@@ -257,7 +246,6 @@ def network_request(
     replications: int = 20,
     seed: int = 0,
     engine: str = "batched",
-    backend: Any = None,
     dtype: Any = None,
 ) -> SimulationRequest:
     """A ``repro network`` workload: the dynamics on a social topology."""
@@ -275,7 +263,7 @@ def network_request(
     }
     if mu is not None:
         spec["mu"] = _finite_float("mu", mu)
-    spec.update(_backend_dtype_fields(engine, backend, dtype))
+    spec.update(_dtype_fields(engine, dtype))
     return SimulationRequest(kind=NETWORK, spec=spec)
 
 
@@ -294,7 +282,6 @@ def protocol_request(
     replications: int = 20,
     seed: int = 0,
     engine: str = "batched",
-    backend: Any = None,
     dtype: Any = None,
 ) -> SimulationRequest:
     """A ``repro protocol`` workload: the distributed protocol under failures.
@@ -334,7 +321,7 @@ def protocol_request(
         )
     if mu is not None:
         spec["mu"] = _finite_float("mu", mu)
-    spec.update(_backend_dtype_fields(engine, backend, dtype))
+    spec.update(_dtype_fields(engine, dtype))
     return SimulationRequest(kind=PROTOCOL, spec=spec)
 
 
@@ -355,7 +342,6 @@ _ALLOWED_FIELDS: Dict[str, Tuple[str, ...]] = {
         "replications",
         "seed",
         "engine",
-        "backend",
         "dtype",
     ),
     NETWORK: (
@@ -369,7 +355,6 @@ _ALLOWED_FIELDS: Dict[str, Tuple[str, ...]] = {
         "replications",
         "seed",
         "engine",
-        "backend",
         "dtype",
     ),
     PROTOCOL: (
@@ -386,7 +371,6 @@ _ALLOWED_FIELDS: Dict[str, Tuple[str, ...]] = {
         "replications",
         "seed",
         "engine",
-        "backend",
         "dtype",
     ),
 }
@@ -458,9 +442,8 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
         }
         if not spec.get("betas"):
             base_parameters["beta"] = spec["beta"]
-        for option_key in ("backend", "dtype"):
-            if option_key in spec:
-                base_parameters[option_key] = spec[option_key]
+        if "dtype" in spec:
+            base_parameters["dtype"] = spec["dtype"]
         replication = (
             dynamics_grid_replication
             if request.engine == "batched"
@@ -485,9 +468,8 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
         }
         if "mu" in spec:
             parameters["mu"] = spec["mu"]
-        for option_key in ("backend", "dtype"):
-            if option_key in spec:
-                parameters[option_key] = spec[option_key]
+        if "dtype" in spec:
+            parameters["dtype"] = spec["dtype"]
         config = ExperimentConfig(
             name=f"network-{request.engine}",
             parameters=parameters,
@@ -516,9 +498,8 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
             parameters["mass_crash_round"] = spec["mass_crash_round"]
         if "mu" in spec:
             parameters["mu"] = spec["mu"]
-        for option_key in ("backend", "dtype"):
-            if option_key in spec:
-                parameters[option_key] = spec[option_key]
+        if "dtype" in spec:
+            parameters["dtype"] = spec["dtype"]
         config = ExperimentConfig(
             name=f"protocol-{request.engine}",
             parameters=parameters,

@@ -9,11 +9,11 @@ trajectory tensors.  Two presets exist:
   unchanged.
 * ``float32`` — ``float32`` floats, ``int32`` counts.  Roughly halves the
   per-cell footprint of every stored state matrix (17 bytes per recorded
-  trajectory cell-step drop to 9; see ``benchmarks/test_bench_backends.py``).
+  trajectory cell-step drop to 9; see ``benchmarks/test_bench_precision.py``).
 
-The dtype contract (documented in the README's "Backends & precision"
-section): *random draws always consume the generator stream in float64*,
-regardless of precision — only what the engines **store** changes dtype.
+The dtype contract (documented in the README's "Precision" section):
+*random draws always consume the generator stream in float64*, regardless
+of precision — only what the engines **store** changes dtype.
 Consequently the dynamics themselves are unchanged under ``float32``; what is
 rounded is the recorded popularity trajectory (and, for the rowwise sweep
 environment, the stored quality matrix, whose rounding perturbs reward

@@ -1,7 +1,7 @@
 """Tests for the fused CSR kernel and the sampling/overflow guards.
 
-Covers the three perf-sensitive correctness fixes that ride with the
-multi-backend engine:
+Covers the three perf-sensitive correctness fixes of the batched network
+engine:
 
 * the fused gather+pick kernel is bit-identical to the NumPy two-pass path
   (exercised through the un-jitted loop source, so no numba is needed);

@@ -1,14 +1,14 @@
 """Property tests for the dtype discipline of the batched engines.
 
-The :class:`~repro.backends.Precision` contract: random draws always consume
+The :class:`~repro.utils.precision.Precision` contract: random draws always consume
 the generator stream in float64, so ``float32`` changes only what the engines
 *store*.  Three families of properties pin that down:
 
 * **bit-identity of the dynamics** — for every batched engine (core, network,
   protocol) the float32 run visits exactly the same count matrices as the
   float64 run from the same seed, merely stored in ``int32``; and the
-  explicit ``backend="numpy"``/``precision="float64"`` spelling is
-  bit-identical to the implicit default (which the golden fixtures in
+  explicit ``precision="float64"`` spelling is bit-identical to the
+  implicit default (which the golden fixtures in
   ``tests/integration/test_golden_trajectories.py`` pin in turn);
 * **int32 conservation** — narrowed count matrices still conserve the
   population row by row (no silent wrap-around);
@@ -84,7 +84,7 @@ class TestCoreEngineBitIdentity:
             )
             assert popularity.dtype == np.float32
 
-    def test_explicit_default_spellings_are_the_implicit_default(self):
+    def test_explicit_default_spelling_is_the_implicit_default(self):
         implicit = _batched_pair(None, 50, 3, 0.65, 0.05, 9)
         explicit = BatchedDynamics(
             4,
@@ -93,7 +93,6 @@ class TestCoreEngineBitIdentity:
             adoption_rule=SymmetricAdoptionRule(0.65),
             sampling_rule=MixtureSampling(0.05),
             rng=9,
-            backend="numpy",
             precision="float64",
         )
         environment = BernoulliEnvironment(QUALITIES + [0.5], rng=2)

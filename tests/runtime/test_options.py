@@ -35,15 +35,15 @@ class TestValidation:
             options.workers = 2
 
     def test_engine_options_are_read_only(self):
-        options = ExecutionOptions(engine_options={"backend": "numpy"})
+        options = ExecutionOptions(engine_options={"dtype": "float32"})
         with pytest.raises(TypeError):
-            options.engine_options["backend"] = "torch"
+            options.engine_options["dtype"] = "float64"
 
     def test_engine_options_copied_from_the_input(self):
-        source = {"backend": "numpy"}
+        source = {"dtype": "float32"}
         options = ExecutionOptions(engine_options=source)
-        source["backend"] = "torch"
-        assert options.engine_options["backend"] == "numpy"
+        source["dtype"] = "float64"
+        assert options.engine_options["dtype"] == "float32"
 
 
 class TestResolution:
@@ -62,9 +62,9 @@ class TestResolution:
             assert options.resolve_executor() is None
 
     def test_merged_parameters_layer_engine_options(self):
-        options = ExecutionOptions(engine_options={"backend": "numpy"})
+        options = ExecutionOptions(engine_options={"dtype": "float32"})
         merged = options.merged_parameters({"N": 40})
-        assert merged == {"N": 40, "backend": "numpy"}
+        assert merged == {"N": 40, "dtype": "float32"}
 
 
 class TestNewSpelling:

@@ -1,10 +1,9 @@
-"""API v1 surface: error envelopes, version routing, legacy aliases, campaigns.
+"""API v1 surface: error envelopes, version routing, campaigns.
 
 Complements ``test_daemon.py`` (which exercises the happy paths through the
 client) with raw-HTTP assertions about the v1 contract: the one error
-envelope, ``Deprecation: true`` on unversioned aliases with byte-identical
-bodies, 404s for unknown version prefixes, and campaign submissions riding
-the same job lifecycle.
+envelope, 404s for unversioned paths and unknown version prefixes, and
+campaign submissions riding the same job lifecycle.
 """
 
 from __future__ import annotations
@@ -103,6 +102,27 @@ class TestErrorEnvelope:
         assert body["error"]["code"] == "invalid_campaign"
         assert "ghost" in body["error"]["message"]
 
+    @pytest.mark.parametrize("backend", ["torch", "numpy"])
+    def test_job_naming_an_array_backend_is_a_400_at_submit(self, daemon, backend):
+        # NumPy is the only array path, so "backend" is an unknown field:
+        # refused at submit rather than queued and failed later.
+        payload = dict(SWEEP_PAYLOAD, engine="batched", backend=backend)
+        status, _, body = raw(daemon, "/v1/jobs", payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert "backend" in body["error"]["message"]
+
+    def test_campaign_node_naming_an_array_backend_is_a_400(self, daemon):
+        request = dict(SWEEP_PAYLOAD, engine="batched", backend="torch")
+        spec = {
+            "name": "x",
+            "nodes": [{"id": "sim", "kind": "simulate", "request": request}],
+        }
+        status, _, body = raw(daemon, "/v1/campaigns", spec)
+        assert status == 400
+        assert body["error"]["code"] == "invalid_campaign"
+        assert "backend" in body["error"]["message"]
+
     def test_unknown_job_is_a_404_envelope(self, daemon):
         status, _, body = raw(daemon, "/v1/jobs/job-999")
         assert status == 404
@@ -162,33 +182,23 @@ class TestVersionRouting:
         assert status == 200
         assert "Deprecation" not in headers
 
-
-class TestLegacyAliases:
-    @pytest.mark.parametrize("path", ["/healthz", "/stats"])
-    def test_get_aliases_answer_identically_plus_deprecation(self, daemon, path):
-        legacy_status, legacy_headers, legacy_body = raw(daemon, path)
-        v1_status, v1_headers, v1_body = raw(daemon, f"/v1{path}")
-        assert legacy_status == v1_status == 200
-        assert legacy_body == v1_body
-        assert legacy_headers.get("Deprecation") == "true"
-        assert "Deprecation" not in v1_headers
-
-    def test_submit_alias_works_and_is_marked_deprecated(self, daemon, client):
-        status, headers, body = raw(daemon, "/jobs", SWEEP_PAYLOAD)
-        assert status == 202
-        assert headers.get("Deprecation") == "true"
-        rows_legacy = client.wait(body["job_id"])["rows"]
-        # Same workload through /v1 (served from the shared store): the
-        # alias and the canonical route produce bit-identical rows.
-        submitted = client.submit(SWEEP_PAYLOAD)
-        rows_v1 = client.wait(submitted["job_id"])["rows"]
-        assert rows_legacy == rows_v1
-
-    def test_error_envelope_on_alias_carries_deprecation(self, daemon):
-        status, headers, body = raw(daemon, "/jobs", {"kind": "nope"})
-        assert status == 400
-        assert body["error"]["code"] == "invalid_request"
-        assert headers.get("Deprecation") == "true"
+    @pytest.mark.parametrize(
+        "path, payload",
+        [
+            ("/healthz", None),
+            ("/stats", None),
+            ("/jobs", SWEEP_PAYLOAD),
+            ("/jobs", {"kind": "nope"}),
+        ],
+        ids=["healthz", "stats", "submit", "invalid-submit"],
+    )
+    def test_unversioned_paths_are_404_without_deprecation(
+        self, daemon, path, payload
+    ):
+        status, headers, body = raw(daemon, path, payload)
+        assert status == 404
+        assert body["error"]["code"] == "not_found"
+        assert "Deprecation" not in headers
 
 
 class TestCampaignJobs:

@@ -208,7 +208,7 @@ class TestExecuteRequest:
 
 
 class TestEngineOptionFields:
-    """backend/dtype participate in the spec — and hence the content address."""
+    """dtype participates in the spec — and hence the content address."""
 
     def _sweep(self, **overrides):
         kwargs = dict(
@@ -219,8 +219,7 @@ class TestEngineOptionFields:
 
     def test_explicit_defaults_normalise_out_of_the_spec(self):
         implicit = self._sweep()
-        explicit = self._sweep(backend="numpy", dtype="float64")
-        assert "backend" not in explicit.spec
+        explicit = self._sweep(dtype="float64")
         assert "dtype" not in explicit.spec
         assert explicit.key() == implicit.key()
 
@@ -230,9 +229,7 @@ class TestEngineOptionFields:
         assert narrow.spec["dtype"] == "float32"
         assert narrow.key() != default.key()
 
-    def test_unknown_backend_and_dtype_rejected(self):
-        with pytest.raises(RequestError, match="unknown backend"):
-            self._sweep(backend="metal")
+    def test_unknown_dtype_rejected(self):
         with pytest.raises(RequestError, match="unknown dtype"):
             self._sweep(dtype="float16")
 

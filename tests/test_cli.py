@@ -665,19 +665,53 @@ class TestServeCommand:
 
 
 class TestEngineOptionFlags:
-    """--backend/--dtype thread from the CLI through the shared request layer."""
+    """--dtype threads from the CLI through the shared request layer."""
 
     def test_parser_defaults_to_no_override(self):
         for command in ("sweep", "network", "protocol"):
             args = build_parser().parse_args([command])
-            assert args.backend is None
             assert args.dtype is None
 
     def test_unknown_dtype_rejected_by_the_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--dtype", "float16"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["network", "--backend", "metal"])
+
+    def test_network_has_no_array_backend_flag(self, capsys):
+        # NumPy is the only array path; --backend is a usage error here.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["network", "--options", "0.8", "0.5", "--backend", "torch"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --backend torch" in capsys.readouterr().err
+
+    def test_campaign_keeps_its_execution_backend_flag(self, capsys, tmp_path):
+        import json
+
+        spec = {
+            "name": "cli-inproc",
+            "nodes": [
+                {
+                    "id": "sim",
+                    "kind": "simulate",
+                    "request": {
+                        "kind": "sweep",
+                        "options": [0.8, 0.5],
+                        "populations": [60],
+                        "horizon": 8,
+                        "replications": 2,
+                        "engine": "loop",
+                    },
+                },
+            ],
+        }
+        spec_path = tmp_path / "campaign.json"
+        spec_path.write_text(json.dumps(spec))
+        exit_code = main(
+            ["campaign", "--spec", str(spec_path), "--backend", "inproc"]
+        )
+        assert exit_code == 0
+        out = capsys.readouterr().out
+        assert "on inproc backend" in out
+        assert "simulate sim" in out
 
     def test_float32_sweep_rows_match_the_service_request(self, capsys, tmp_path):
         """The CLI and a direct service request produce identical rows."""
